@@ -68,8 +68,8 @@ func TestBatchApplyMatchesPerDevice(t *testing.T) {
 }
 
 // TestBatchApplyMixedGroups exercises the grouping logic: two shared-grid
-// corners, a private-grid singleton and a float32 subgroup in one call must
-// each match their per-device twins.
+// corners, a private-grid singleton and float32 members sharing a grid with
+// float64 ones in one call must each match their per-device twins.
 func TestBatchApplyMixedGroups(t *testing.T) {
 	coarse := DefaultParams().Coarse()
 	other := coarse

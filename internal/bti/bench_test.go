@@ -39,16 +39,12 @@ func BenchmarkRecoveryFraction(b *testing.B) {
 	}
 }
 
-// benchFleet builds the batched-sweep benchmark population: 64 devices on
-// one shared grid, the shape of a fleet corner. The grid is private (the
-// process-wide cache stays untouched for the other benchmarks) and its
-// kernel-cache float budget is exhausted up front, so both the batched and
-// the per-device variant run in the fleet steady state: admission refuses
-// every new condition key, which is exactly the regime never-repeating
-// warm-started per-tile temperatures produce in a long-lived service.
-func benchFleet(b *testing.B) []*Device {
-	b.Helper()
-	p := DefaultParams()
+// fullCacheGrid returns a private grid for p (the process-wide cache stays
+// untouched for the other benchmarks and tests) whose kernel-cache float
+// budget is exhausted up front by admitting distinct keys. Sweeps on it run
+// in the full-cache steady state: every new condition key is refused.
+func fullCacheGrid(tb testing.TB, p Params) *cetGrid {
+	tb.Helper()
 	g := newCETGrid(p)
 	occ := make([]float64, p.GridCapture*p.GridEmission)
 	for k := uint64(0); g.kernelFloats+2*g.nc*g.ne <= maxKernelFloats; k++ {
@@ -56,6 +52,17 @@ func benchFleet(b *testing.B) []*Device {
 		g.evolve(occ, af, af, maxSubstep, 2*k+1) // record the key
 		g.evolve(occ, af, af, maxSubstep, 2*k+2) // promote and admit it
 	}
+	return g
+}
+
+// benchFleet builds the batched-sweep benchmark population: 64 devices on
+// one shared full-cache grid, the shape of a fleet corner whose chips see
+// per-tile conditions the cache can no longer admit. Both the batched and
+// the per-device variant run in that steady state.
+func benchFleet(b *testing.B) []*Device {
+	b.Helper()
+	p := DefaultParams()
+	g := fullCacheGrid(b, p)
 	devs := make([]*Device, 64)
 	for i := range devs {
 		devs[i] = newDeviceOnGrid(p, StorageFloat64, g)
@@ -64,12 +71,28 @@ func benchFleet(b *testing.B) []*Device {
 }
 
 // benchCondition returns a stressing condition whose temperature varies with
-// the iteration index — the fleet-realistic case: per-tile temperatures from
-// a warm-started thermal solve never repeat bitwise, so no condition key
-// ever earns a cached kernel and every substep pays the kernel
-// materialisation somewhere.
+// the iteration index, so no condition key ever recurs and every substep
+// pays for an uncached key somewhere — the regime of a many-core die whose
+// per-tile temperatures drift from step to step.
 func benchCondition(i int) Condition {
 	return Condition{GateVoltage: 1.4, Temp: units.Kelvin(383.15 + float64(i)*1e-9)}
+}
+
+// BenchmarkApplyGatedPhase measures one chip-shaped gated core step on the
+// system-simulation grid: stress for effUtil·3600 s (two full substeps plus
+// a remainder), then rest for the balance of the hour, at a temperature no
+// earlier step used, on a private full-cache grid — the per-core wearout
+// work of a deep-healing many-core step.
+func BenchmarkApplyGatedPhase(b *testing.B) {
+	p := DefaultParams().Coarse()
+	d := newDeviceOnGrid(p, StorageFloat64, fullCacheGrid(b, p))
+	const effUtil = 0.6
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		stress := benchCondition(i)
+		d.Apply(stress, effUtil*3600)
+		d.Apply(Condition{Temp: stress.Temp}, (1-effUtil)*3600)
+	}
 }
 
 // BenchmarkBatchApply measures one 900 s substep of 64 shared-grid devices

@@ -25,8 +25,8 @@ type cetGrid struct {
 	kernelFloats  int                // cached kernel footprint, in float64s
 	seen          map[condKey]uint64 // key → phase that first requested it
 	phase         atomic.Uint64      // Apply-phase token source (see kernel.go)
-	scratch       sync.Pool          // *axisScratch for the direct separable sweep
-	kernelScratch sync.Pool          // *evolveKernel for uncached batch sweeps
+	scratch       sync.Pool          // *axisScratch for sweeps and kernel fills
+	kernelScratch sync.Pool          // *evolveKernel for uncached phases
 
 	// testBuildHook, when non-nil, runs between buildKernel and the
 	// re-acquisition of mu in kernel() — tests use it to interleave a racing
@@ -88,28 +88,6 @@ func gridAxis(mu, sigma, span float64, n int) []float64 {
 // float64 instantiation performs the exact operation sequence the pre-generic
 // code did, so it stays bit-identical.
 type floatOcc interface{ ~float32 | ~float64 }
-
-// gridEvolve advances the occupancy vector occ (len nc*ne, values in [0,1])
-// by dt seconds under condition acceleration factors: captureAF multiplies
-// capture rates (0 when not stressing) and emitAF multiplies emission rates.
-// It dispatches through the condition-keyed kernel cache (phase is the
-// caller's Apply-phase token, see kernel.go); with every rate zero (or a
-// degenerate duration) the sweep is a no-op and is skipped.
-func gridEvolve[F floatOcc](g *cetGrid, occ []F, captureAF, emitAF, dt float64, phase uint64) {
-	if dt <= 0 || (captureAF <= 0 && emitAF <= 0) {
-		return
-	}
-	if k := g.kernel(captureAF, emitAF, dt, phase); k != nil {
-		kernelSweep(k, occ)
-		return
-	}
-	separableSweep(g, occ, captureAF, emitAF, dt)
-}
-
-// evolve is the float64 form of gridEvolve.
-func (g *cetGrid) evolve(occ []float64, captureAF, emitAF, dt float64, phase uint64) {
-	gridEvolve(g, occ, captureAF, emitAF, dt, phase)
-}
 
 // naiveSweep is the direct per-cell reference implementation (one
 // exponential per cell per substep). The kernel path must match it within

@@ -105,15 +105,6 @@ func (d *Device) recoverable() float64 {
 	return gridShift(d.grid, d.occ)
 }
 
-// evolveOcc advances the device's occupancy, dispatching on storage.
-func (d *Device) evolveOcc(captureAF, emitAF, dt float64, phase uint64) {
-	if d.occ32 != nil {
-		gridEvolve(d.grid, d.occ32, captureAF, emitAF, dt, phase)
-	} else {
-		gridEvolve(d.grid, d.occ, captureAF, emitAF, dt, phase)
-	}
-}
-
 // ShiftV returns the total threshold-voltage shift in volts.
 func (d *Device) ShiftV() float64 {
 	return d.recoverable() + d.precursorV + d.lockedV
@@ -188,9 +179,29 @@ func (d *Device) ApplyObserved(c Condition, dur float64, observeEvery float64, o
 	if dur <= 0 {
 		return
 	}
-	captureAF := d.params.captureAccel(c)
-	emitAF := d.params.emissionAccel(c)
-	phase := d.grid.phase.Add(1) // see kernel.go: promotion is cross-phase
+	devs := [1]*Device{d}
+	applyPhase(devs[:], c, dur, observeEvery, observe)
+}
+
+// applyPhase is the one substep loop behind ApplyObserved and BatchApply:
+// it evolves devs — one device, or a group sharing a grid — under c for
+// dur seconds in min(maxSubstep, remaining) substeps. The device loop is
+// innermost, and devices are mutually independent, so a group ends
+// bit-identical to applying each device alone. observe (single device
+// only) is called about every observeEvery seconds and at the end of the
+// phase. A stressing miss is worth a scratch kernel (fill) when the phase
+// sweeps its first key at least twice: it spans two full substeps or
+// covers several devices.
+func applyPhase(devs []*Device, c Condition, dur, observeEvery float64, observe func(t, shiftV float64)) {
+	d0 := devs[0]
+	captureAF := d0.params.captureAccel(c)
+	emitAF := d0.params.emissionAccel(c)
+	ps := phaseSweeper{
+		g: d0.grid, captureAF: captureAF, emitAF: emitAF,
+		token: d0.grid.phase.Add(1), // see kernel.go: promotion is cross-phase
+		fill:  c.Stressing() && (len(devs) > 1 || dur >= 2*maxSubstep),
+	}
+	defer ps.close()
 
 	// Closed-form fast path: outside stress the permanent kinetics never
 	// read the occupancy (the generation term is zero), so k consecutive
@@ -203,7 +214,7 @@ func (d *Device) ApplyObserved(c Condition, dur float64, observeEvery float64, o
 	occLag := 0.0 // seconds the occupancy trails `elapsed` on the fast path
 	flush := func() {
 		if occLag > 0 {
-			d.evolveOcc(captureAF, emitAF, occLag, phase)
+			ps.sweep(devs, occLag)
 			occLag = 0
 		}
 	}
@@ -220,15 +231,17 @@ func (d *Device) ApplyObserved(c Condition, dur float64, observeEvery float64, o
 			if fast {
 				occLag += step
 			} else {
-				d.evolveOcc(captureAF, emitAF, step, phase)
+				ps.sweep(devs, step)
 			}
-			d.stepPermanent(c, emitAF, step)
+			for _, d := range devs {
+				d.stepPermanent(c, emitAF, step)
+				d.age += step
+			}
 			elapsed += step
-			d.age += step
 		}
 		if observe != nil && observeEvery > 0 && elapsed >= nextObserve {
 			flush()
-			observe(elapsed, d.ShiftV())
+			observe(elapsed, d0.ShiftV())
 			lastObserved = elapsed
 			nextObserve += observeEvery
 			if nextObserve <= elapsed {
@@ -244,7 +257,7 @@ func (d *Device) ApplyObserved(c Condition, dur float64, observeEvery float64, o
 	}
 	flush()
 	if observe != nil && lastObserved < dur {
-		observe(dur, d.ShiftV())
+		observe(dur, d0.ShiftV())
 	}
 }
 

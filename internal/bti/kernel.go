@@ -15,26 +15,28 @@ import (
 // axis decay vectors are combined per cell with one multiply. Two paths
 // share that identity, chosen per condition key (captureAF, emitAF, dt):
 //
-//   - A cached kernel materialises the fused per-cell pInf/decay fields, so
-//     every later substep at the same key is a pure fused multiply-add sweep
-//     with no divisions or transcendentals. Experiments and benchmarks drive
-//     a device fleet with a handful of exact conditions at the fixed
-//     maxSubstep, so this path dominates there.
+//   - A kernel materialises the fused per-cell pInf/decay fields, so every
+//     substep it serves is a pure fused multiply-add sweep with no divisions
+//     or transcendentals. Cached kernels serve keys that recur across phases
+//     — device experiments replay a handful of exact conditions, and
+//     replicated fleet chips see bitwise-equal per-tile temperatures (the
+//     thermal solve is a direct Cholesky factorisation, so equal power maps
+//     give equal temperatures). A pooled scratch kernel serves one phase
+//     whose key is not cached (see phaseSweeper).
 //   - A direct separable sweep computes the axis vectors into pooled scratch
-//     and fuses on the fly. System simulations feed every core a slightly
-//     different per-tile temperature each step (the CG thermal solve is
-//     warm-started, so temperatures never repeat bitwise); materialising a
-//     kernel per unique key would thrash, so unseen keys take this path.
+//     and fuses on the fly. It serves the remaining misses; a sweep whose
+//     phase already holds a kernel borrows that kernel's dt-independent pInf
+//     field instead of dividing per cell, and a non-stressing sweep needs no
+//     pInf at all (it is exactly +0).
 //
 // A key is promoted to a cached kernel when it is requested from two
-// distinct Apply phases (each ApplyObserved call draws a fresh phase token
-// from the grid's atomic counter). Promotion deliberately ignores repeats
-// within one phase: a phase re-uses its key once per substep, which the
-// separable sweep already serves allocation-free, and materialising a
-// kernel for a key that never returns is pure churn. The two optimized
-// paths apply identical operations in identical order, so they agree
-// bit-for-bit; both match the naive per-cell-exponential reference within
-// ~1e-15 relative (see kernel_test.go).
+// distinct Apply phases (each phase draws a fresh token from the grid's
+// atomic counter). Promotion deliberately ignores repeats within one phase:
+// the phase's own scratch kernel already serves those, and materialising a
+// cached kernel for a key that never returns is pure churn. All paths apply
+// identical operations in identical order, so they agree bit-for-bit; each
+// matches the naive per-cell-exponential reference within ~1e-15 relative
+// (see kernel_test.go).
 
 // condKey identifies one evolution kernel: the acceleration factors and the
 // substep length fully determine the per-cell decay and equilibrium fields.
@@ -47,7 +49,7 @@ type condKey struct {
 //	occ' = pInf + (occ − pInf)·decay
 //
 // decay is the materialised outer product decayC[i]·decayE[j] — built from
-// the axis vectors, stored fused so apply is a branch-free flat sweep.
+// the axis vectors, stored fused so kernelSweep is a branch-free flat sweep.
 // Cells with zero total rate carry pInf = 0, decay = 1 (a no-op). Both
 // fields are convex weights, keeping occupancies inside [0, 1].
 type evolveKernel struct {
@@ -67,26 +69,34 @@ func (k *evolveKernel) floats() int {
 // periodic working set larger than the cap, any eviction scheme rebuilds
 // every kernel each cycle (the access pattern is a sequential scan), whereas
 // a pinned resident set keeps serving its share of hits with zero churn and
-// overflow keys fall back to the allocation-free separable sweep. The seen
-// map is cleared wholesale when full — it only gates promotion, so losing it
-// merely delays a kernel by one recurrence.
+// overflow keys are served per phase (see phaseSweeper). Because nothing is
+// ever evicted, a full cache answers every miss under the read lock. The
+// seen map is cleared wholesale when full — it only gates promotion, so
+// losing it merely delays a kernel by one recurrence.
 const (
 	maxKernelFloats = 1 << 21 // ≈16 MB of cached kernel fields per grid
 	maxSeenKeys     = 4096    // one-shot keys awaiting promotion (32 B each)
 )
 
 // kernel returns the cached evolution kernel for the condition key, or nil
-// if the key has not recurred across phases yet (the caller then runs the
-// direct separable sweep). Safe for concurrent use: devices sharing a grid
+// if the key has not recurred across phases yet (the caller then sweeps
+// without a cached kernel). Safe for concurrent use: devices sharing a grid
 // may evolve in parallel worker shards.
 func (g *cetGrid) kernel(captureAF, emitAF, dt float64, phase uint64) *evolveKernel {
 	key := condKey{captureAF, emitAF, dt}
 	g.mu.RLock()
 	k := g.kernels[key]
+	full := g.kernelFloats+2*g.nc*g.ne > maxKernelFloats
 	g.mu.RUnlock()
 	if k != nil {
 		metKernelHits.Inc()
 		return k
+	}
+	if full {
+		// The cache never evicts, so once the budget is full no key can be
+		// admitted again: answer the miss without the write lock.
+		metKernelMisses.Inc()
+		return nil
 	}
 	g.mu.Lock()
 	if k = g.kernels[key]; k != nil { // raced with another promoter
@@ -107,7 +117,7 @@ func (g *cetGrid) kernel(captureAF, emitAF, dt float64, phase uint64) *evolveKer
 		return nil
 	}
 	if g.kernelFloats+2*g.nc*g.ne > maxKernelFloats {
-		g.mu.Unlock() // cache full: keep the resident set, sweep separably
+		g.mu.Unlock() // filled since the read check: keep the resident set
 		metKernelRefusals.Inc()
 		metKernelMisses.Inc()
 		return nil
@@ -159,26 +169,18 @@ func (g *cetGrid) buildKernel(captureAF, emitAF, dt float64) *evolveKernel {
 }
 
 // fillKernel overwrites k's fields with the fused update for the condition
-// key. It is the single source of kernel values: cached kernels and the
-// batch path's pooled scratch kernels both fill through here, so the two are
-// bit-identical by construction. The emission axis uses the pooled scratch.
+// key. It is the single source of kernel values: cached kernels and pooled
+// scratch kernels both fill through here, and the separable sweep runs the
+// same per-cell operations, so every path is bit-identical by construction.
 func (g *cetGrid) fillKernel(k *evolveKernel, captureAF, emitAF, dt float64) {
-	nc, ne := g.nc, g.ne
-	sc, _ := g.scratch.Get().(*axisScratch)
-	if sc == nil || len(sc.re) != ne {
-		sc = &axisScratch{re: make([]float64, ne), decayE: make([]float64, ne)}
-	}
+	sc := g.axes(captureAF, emitAF, dt)
 	re, decayE := sc.re, sc.decayE
-	for j := range re {
-		re[j] = emitAF / g.tauE[j]
-		decayE[j] = math.Exp(-re[j] * dt)
-	}
-	for i := 0; i < nc; i++ {
-		var rc float64
+	ne := g.ne
+	for i := 0; i < g.nc; i++ {
+		rc, dc := 0.0, 1.0 // exp(-0·dt) is exactly 1
 		if captureAF > 0 {
-			rc = captureAF / g.tauC[i]
+			rc, dc = sc.rc[i], sc.dc[i]
 		}
-		dc := math.Exp(-rc * dt)
 		base := i * ne
 		for j := 0; j < ne; j++ {
 			rate := rc + re[j]
@@ -205,65 +207,102 @@ func kernelSweep[F floatOcc](k *evolveKernel, occ []F) {
 	}
 }
 
-// apply is the float64 form of kernelSweep.
-func (k *evolveKernel) apply(occ []float64) {
-	kernelSweep(k, occ)
-}
-
-// axisScratch is the emission-axis working set of one direct separable
-// sweep, pooled per grid so the miss path allocates nothing at steady
-// state.
+// axisScratch holds the axis rates and decays of one substep, pooled per
+// grid so sweeps and kernel fills allocate nothing at steady state. The
+// capture axis (rc, dc) is filled only under stress.
 type axisScratch struct {
-	re, decayE []float64
+	re, decayE []float64 // emission axis, len ne
+	rc, dc     []float64 // capture axis, len nc
 }
 
-// separableSweep advances occ without materialising a kernel: the
-// emission-axis rates and decays are computed once into pooled scratch and
-// the capture axis is folded in per row. Bit-identical to a kernel built
-// for the same key.
-func separableSweep[F floatOcc](g *cetGrid, occ []F, captureAF, emitAF, dt float64) {
-	metSeparableSweep.Inc()
+// axes returns pooled scratch filled with the axis vectors for the
+// condition key. Return it with g.scratch.Put.
+func (g *cetGrid) axes(captureAF, emitAF, dt float64) *axisScratch {
 	sc, _ := g.scratch.Get().(*axisScratch)
-	if sc == nil || len(sc.re) != g.ne {
-		sc = &axisScratch{re: make([]float64, g.ne), decayE: make([]float64, g.ne)}
-	}
-	re, decayE := sc.re, sc.decayE
-	for j := range re {
-		re[j] = emitAF / g.tauE[j]
-		decayE[j] = math.Exp(-re[j] * dt)
-	}
-	for i := 0; i < g.nc; i++ {
-		var rc float64
-		if captureAF > 0 {
-			rc = captureAF / g.tauC[i]
+	if sc == nil {
+		sc = &axisScratch{
+			re: make([]float64, g.ne), decayE: make([]float64, g.ne),
+			rc: make([]float64, g.nc), dc: make([]float64, g.nc),
 		}
-		dc := math.Exp(-rc * dt)
-		row := occ[i*g.ne : (i+1)*g.ne]
-		for j := range row {
-			rate := rc + re[j]
-			if rate <= 0 {
-				continue
-			}
-			pInf := rc / rate
-			row[j] = F(pInf + (float64(row[j])-pInf)*(dc*decayE[j]))
+	}
+	for j := range sc.re {
+		sc.re[j] = emitAF / g.tauE[j]
+		sc.decayE[j] = math.Exp(-sc.re[j] * dt)
+	}
+	if captureAF > 0 {
+		for i := range sc.rc {
+			sc.rc[i] = captureAF / g.tauC[i]
+			sc.dc[i] = math.Exp(-sc.rc[i] * dt)
+		}
+	}
+	return sc
+}
+
+// separableSweep advances every device in devs by one substep without a
+// kernel for dt: the axis vectors are computed once into pooled scratch and
+// fused per cell by separableRows.
+func separableSweep(g *cetGrid, devs []*Device, pInf []float64, captureAF, emitAF, dt float64) {
+	metSeparableSweep.Add(uint64(len(devs)))
+	sc := g.axes(captureAF, emitAF, dt)
+	for _, d := range devs {
+		if d.occ32 != nil {
+			separableRows(g, sc, d.occ32, pInf, captureAF)
+		} else {
+			separableRows(g, sc, d.occ, pInf, captureAF)
 		}
 	}
 	g.scratch.Put(sc)
 }
 
-// evolveSeparable is the float64 form of separableSweep.
-func (g *cetGrid) evolveSeparable(occ []float64, captureAF, emitAF, dt float64) {
-	separableSweep(g, occ, captureAF, emitAF, dt)
+// separableRows fuses the axis vectors in sc into occ, bit-identical to a
+// kernel built for the same key, through one of three loops:
+//
+//   - Non-stressing (captureAF == 0): rc = 0, so pInf = 0/rate is exactly +0
+//     and dc = exp(-0·dt) exactly 1; the update reduces to +0 + occ·decayE[j]
+//     with no division and no capture-axis exponentials. (The +0 keeps a −0
+//     occupancy mapping to +0, as the general update does.)
+//   - pInf given: the caller's phase kernel holds the fused equilibrium
+//     field, which depends only on the acceleration factors, not on dt — so
+//     a remainder substep reuses it instead of dividing per cell.
+//   - Otherwise: one division per cell for pInf = rc/rate.
+func separableRows[F floatOcc](g *cetGrid, sc *axisScratch, occ []F, pInf []float64, captureAF float64) {
+	re, decayE := sc.re, sc.decayE
+	ne := g.ne
+	for i := 0; i < g.nc; i++ {
+		row := occ[i*ne : (i+1)*ne]
+		switch {
+		case captureAF <= 0:
+			for j := range row {
+				row[j] = F(0 + float64(row[j])*decayE[j])
+			}
+		case pInf != nil:
+			dc := sc.dc[i]
+			p := pInf[i*ne : (i+1)*ne]
+			for j := range row {
+				row[j] = F(p[j] + (float64(row[j])-p[j])*(dc*decayE[j]))
+			}
+		default:
+			rc, dc := sc.rc[i], sc.dc[i]
+			for j := range row {
+				rate := rc + re[j]
+				if rate <= 0 {
+					continue
+				}
+				p := rc / rate
+				row[j] = F(p + (float64(row[j])-p)*(dc*decayE[j]))
+			}
+		}
+	}
 }
 
-// scratchKernel returns a pooled kernel filled for the condition key — the
-// batch sweep's answer to an uncached key: one O(nc·ne) materialisation
-// (identical values to a cached kernel, see fillKernel) amortised across
-// every device in the batch, where the per-device separable sweep would pay
-// the nc·ne divisions once per device. Return it with putScratchKernel.
+// scratchKernel returns a pooled kernel filled for the condition key
+// (identical values to a cached kernel, see fillKernel): one O(nc·ne)
+// materialisation amortised over every sweep it serves, where the separable
+// sweep would pay the nc·ne divisions each time. Return it with
+// putScratchKernel.
 func (g *cetGrid) scratchKernel(captureAF, emitAF, dt float64) *evolveKernel {
 	k, _ := g.kernelScratch.Get().(*evolveKernel)
-	if k == nil || len(k.pInf) != g.nc*g.ne {
+	if k == nil {
 		k = &evolveKernel{
 			pInf:  make([]float64, g.nc*g.ne),
 			decay: make([]float64, g.nc*g.ne),
@@ -276,6 +315,79 @@ func (g *cetGrid) scratchKernel(captureAF, emitAF, dt float64) *evolveKernel {
 // putScratchKernel recycles a scratchKernel result.
 func (g *cetGrid) putScratchKernel(k *evolveKernel) {
 	g.kernelScratch.Put(k)
+}
+
+// phaseSweeper serves the CET sweeps of one Apply phase — one condition
+// over one duration, for one device (ApplyObserved) or a same-grid group
+// (BatchApply). The phase holds at most one kernel, the first one it
+// obtains: a cached kernel from a hit, or — on a stressing miss in a phase
+// that sweeps its key at least twice (two full substeps, or several
+// devices) — a pooled scratch kernel filled once. Later sweeps at the
+// kernel's substep length reuse it without touching the cache. Sweeps at
+// any other length (the remainder, an observation split, the non-stressing
+// collapse) still consult the cache first — replicated fleet chips hit it —
+// and on a miss sweep separably, borrowing the phase kernel's pInf, which
+// does not depend on dt, instead of dividing per cell.
+type phaseSweeper struct {
+	g                 *cetGrid
+	captureAF, emitAF float64
+	token             uint64        // the phase token for cache promotion
+	fill              bool          // a stressing miss is worth a scratch kernel
+	k                 *evolveKernel // the phase kernel, nil until obtained
+	kdt               float64       // the substep length k was built for
+	pooled            bool          // k is a pooled scratch kernel
+}
+
+// close returns the phase's scratch kernel to the pool.
+func (p *phaseSweeper) close() {
+	if p.pooled {
+		p.g.putScratchKernel(p.k)
+		p.k, p.pooled = nil, false
+	}
+}
+
+// sweep advances every device in devs by dt seconds within the phase. With
+// every rate zero (or a degenerate duration) the sweep is a no-op and is
+// skipped.
+func (p *phaseSweeper) sweep(devs []*Device, dt float64) {
+	if dt <= 0 || (p.captureAF <= 0 && p.emitAF <= 0) {
+		return
+	}
+	if p.k != nil && p.kdt == dt {
+		sweepKernel(p.k, devs)
+		return
+	}
+	g := p.g
+	if k := g.kernel(p.captureAF, p.emitAF, dt, p.token); k != nil {
+		if p.k == nil {
+			p.k, p.kdt = k, dt
+		}
+		sweepKernel(k, devs)
+		return
+	}
+	if p.k == nil && p.fill {
+		metPhaseKernels.Inc()
+		p.k, p.kdt, p.pooled = g.scratchKernel(p.captureAF, p.emitAF, dt), dt, true
+		sweepKernel(p.k, devs)
+		return
+	}
+	var pInf []float64
+	if p.k != nil {
+		pInf = p.k.pInf
+	}
+	separableSweep(g, devs, pInf, p.captureAF, p.emitAF, dt)
+}
+
+// sweepKernel advances every device in devs through k, dispatching on each
+// device's storage.
+func sweepKernel(k *evolveKernel, devs []*Device) {
+	for _, d := range devs {
+		if d.occ32 != nil {
+			kernelSweep(k, d.occ32)
+		} else {
+			kernelSweep(k, d.occ)
+		}
+	}
 }
 
 // Shared-grid cache: devices built from equal Params reuse one immutable

@@ -1,12 +1,14 @@
 package bti
 
 import (
+	"fmt"
 	"math"
 	"sync"
 	"testing"
 
 	"deepheal/internal/obs"
 	"deepheal/internal/rngx"
+	"deepheal/internal/units"
 )
 
 // relDiff returns |a-b| / max(|a|, |b|, floor) — a relative difference that
@@ -26,6 +28,21 @@ func randomOcc(rng *rngx.Source, n int) []float64 {
 		occ[i] = rng.Float64()
 	}
 	return occ
+}
+
+// evolve advances occ by one dt substep as a single-substep phase with the
+// given phase token: the cache lookup runs with the token, and a miss takes
+// the separable sweep.
+func (g *cetGrid) evolve(occ []float64, captureAF, emitAF, dt float64, phase uint64) {
+	p := phaseSweeper{g: g, captureAF: captureAF, emitAF: emitAF, token: phase}
+	p.sweep([]*Device{{grid: g, occ: occ}}, dt)
+	p.close()
+}
+
+// evolveSeparable runs the direct separable sweep on occ (no kernel, no
+// borrowed pInf).
+func (g *cetGrid) evolveSeparable(occ []float64, captureAF, emitAF, dt float64) {
+	separableSweep(g, []*Device{{grid: g, occ: occ}}, nil, captureAF, emitAF, dt)
 }
 
 // TestEvolveMatchesNaive is the core differential guarantee of the kernel
@@ -330,7 +347,9 @@ func TestFailedAdmissionKeepsPromotion(t *testing.T) {
 }
 
 // TestKernelCacheMetrics checks the obs wiring: the cache paths move the
-// right counters and the resident-floats gauge tracks admissions.
+// right counters, the resident-floats gauge tracks admissions, a stressing
+// phase fills one scratch kernel for all its full substeps after a single
+// lookup, and a full cache answers lookups as plain misses.
 func TestKernelCacheMetrics(t *testing.T) {
 	reg := obs.NewRegistry()
 	EnableMetrics(reg)
@@ -358,5 +377,297 @@ func TestKernelCacheMetrics(t *testing.T) {
 	}
 	if got := snap.Gauges["deepheal_bti_kernel_resident_floats"]; got != float64(2*g.nc*g.ne) {
 		t.Errorf("resident floats = %g, want %d", got, 2*g.nc*g.ne)
+	}
+
+	delta := func(before *obs.Snapshot, name string) uint64 {
+		return reg.Snapshot().Counters[name] - before.Counters[name]
+	}
+
+	// A 2.5-substep stress phase on a cold grid: one lookup for the two
+	// full substeps (a miss that fills the phase kernel), one for the
+	// remainder (a miss served with the phase kernel's pInf).
+	before := reg.Snapshot()
+	d := newDeviceOnGrid(p, StorageFloat64, newCETGrid(p))
+	d.Apply(StressAccel, 2.5*maxSubstep)
+	if got := delta(before, "deepheal_bti_phase_kernels_total"); got != 1 {
+		t.Errorf("phase kernels = %d, want 1", got)
+	}
+	if got := delta(before, "deepheal_bti_kernel_misses_total"); got != 2 {
+		t.Errorf("phase misses = %d, want 2 (one per substep length)", got)
+	}
+
+	// On a full cache, a key requested from two phases would be promoted —
+	// but the read lock answers both lookups as misses, and no admission is
+	// attempted, so nothing counts as a refusal.
+	full := fullCacheGrid(t, p)
+	before = reg.Snapshot()
+	full.evolve(occ, 7, 7, 900, 1<<40)
+	full.evolve(occ, 7, 7, 900, 1<<40+1)
+	if got := delta(before, "deepheal_bti_kernel_misses_total"); got != 2 {
+		t.Errorf("full-cache misses = %d, want 2", got)
+	}
+	if got := delta(before, "deepheal_bti_kernel_admission_refusals_total"); got != 0 {
+		t.Errorf("full-cache refusals = %d, want 0 (a read-lock miss is not a refusal)", got)
+	}
+	if got := delta(before, "deepheal_bti_kernel_builds_total"); got != 0 {
+		t.Errorf("full-cache builds = %d, want 0", got)
+	}
+}
+
+// perSubstepSeparable is a copy of the separable sweep as it stood before
+// sweeps became phase-scoped: one division per cell for pInf on every
+// substep, stress or rest.
+func perSubstepSeparable[F floatOcc](g *cetGrid, occ []F, captureAF, emitAF, dt float64) {
+	re := make([]float64, g.ne)
+	decayE := make([]float64, g.ne)
+	for j := range re {
+		re[j] = emitAF / g.tauE[j]
+		decayE[j] = math.Exp(-re[j] * dt)
+	}
+	for i := 0; i < g.nc; i++ {
+		var rc float64
+		if captureAF > 0 {
+			rc = captureAF / g.tauC[i]
+		}
+		dc := math.Exp(-rc * dt)
+		row := occ[i*g.ne : (i+1)*g.ne]
+		for j := range row {
+			rate := rc + re[j]
+			if rate <= 0 {
+				continue
+			}
+			pInf := rc / rate
+			row[j] = F(pInf + (float64(row[j])-pInf)*(dc*decayE[j]))
+		}
+	}
+}
+
+// applyPerSubstep is a copy of the Apply loop as it stood before sweeps
+// became phase-scoped: every substep is swept on its own, and outside
+// stress the substeps collapse into one sweep at the accumulated duration.
+// It never touches the kernel cache — a cached kernel and the separable
+// sweep agree bitwise (TestEvolveMatchesNaive), so the per-substep
+// trajectory does not depend on what the cache held.
+func applyPerSubstep[F floatOcc](d *Device, occ []F, c Condition, dur float64) {
+	captureAF := d.params.captureAccel(c)
+	emitAF := d.params.emissionAccel(c)
+	evolve := func(dt float64) {
+		if dt > 0 && (captureAF > 0 || emitAF > 0) {
+			perSubstepSeparable(d.grid, occ, captureAF, emitAF, dt)
+		}
+	}
+	occLag := 0.0
+	elapsed := 0.0
+	for elapsed < dur {
+		step := math.Min(maxSubstep, dur-elapsed)
+		if c.Stressing() {
+			evolve(step)
+		} else {
+			occLag += step
+		}
+		d.stepPermanent(c, emitAF, step)
+		elapsed += step
+		d.age += step
+	}
+	evolve(occLag)
+}
+
+// applyPerSubstepDevice dispatches applyPerSubstep on the storage mode.
+func applyPerSubstepDevice(d *Device, c Condition, dur float64) {
+	if d.occ32 != nil {
+		applyPerSubstep(d, d.occ32, c, dur)
+	} else {
+		applyPerSubstep(d, d.occ, c, dur)
+	}
+}
+
+// stateDiff describes the first difference between two devices' state,
+// bit for bit (telling −0 from +0), or returns "" when they are identical.
+func stateDiff(got, want *Device) string {
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	if !same(got.precursorV, want.precursorV) || !same(got.lockedV, want.lockedV) || !same(got.age, want.age) {
+		return fmt.Sprintf("permanent state (%v,%v,%v), want (%v,%v,%v)",
+			got.precursorV, got.lockedV, got.age, want.precursorV, want.lockedV, want.age)
+	}
+	for i := range want.occ {
+		if !same(got.occ[i], want.occ[i]) {
+			return fmt.Sprintf("occ[%d] = %v, want %v", i, got.occ[i], want.occ[i])
+		}
+	}
+	for i := range want.occ32 {
+		if math.Float32bits(got.occ32[i]) != math.Float32bits(want.occ32[i]) {
+			return fmt.Sprintf("occ32[%d] = %v, want %v", i, got.occ32[i], want.occ32[i])
+		}
+	}
+	return ""
+}
+
+// phaseTestDevice returns a device on g with a random occupancy and some
+// permanent wear. Cell 0 holds −0, which the snapshot decoders accept.
+func phaseTestDevice(rng *rngx.Source, p Params, s Storage, g *cetGrid) *Device {
+	d := newDeviceOnGrid(p, s, g)
+	for i := range d.occ {
+		d.occ[i] = rng.Float64()
+	}
+	for i := range d.occ32 {
+		d.occ32[i] = float32(rng.Float64())
+	}
+	if d.occ != nil {
+		d.occ[0] = math.Copysign(0, -1)
+	} else {
+		d.occ32[0] = float32(math.Copysign(0, -1))
+	}
+	d.precursorV, d.lockedV, d.age = 0.01*rng.Float64(), 0.005*rng.Float64(), 3600
+	return d
+}
+
+// promote records and admits the kernel for one condition key on g.
+func promote(g *cetGrid, captureAF, emitAF, dt float64) {
+	occ := make([]float64, g.nc*g.ne)
+	tok := g.phase.Add(2)
+	g.evolve(occ, captureAF, emitAF, dt, tok-1)
+	g.evolve(occ, captureAF, emitAF, dt, tok)
+}
+
+// remainderOf returns the length of the last substep of a dur-second
+// stressing phase, accumulated the way the substep loop accumulates it.
+func remainderOf(dur float64) float64 {
+	elapsed, step := 0.0, 0.0
+	for elapsed < dur {
+		step = math.Min(maxSubstep, dur-elapsed)
+		elapsed += step
+	}
+	return step
+}
+
+// TestPhaseKernelMatchesPerSubstep is the differential guarantee of the
+// phase-scoped sweep: Apply and BatchApply must end bit-identical to the
+// per-substep path they replaced, and (for float64 storage) within 1e-12
+// of the naive applyReference, for every phase shape — sub-substep, exact
+// multiples, a remainder, and long phases — under stress and rest, in both
+// storage modes and whatever the kernel cache holds: nothing, the phase's
+// full-substep key, only its remainder key, or a full budget.
+func TestPhaseKernelMatchesPerSubstep(t *testing.T) {
+	p := DefaultParams().Coarse()
+	conds := []Condition{
+		StressAccel,
+		{GateVoltage: 1.0, Temp: units.Celsius(85)},
+		RecoverPassive,
+		RecoverDeep,
+		{GateVoltage: 0, Temp: units.Celsius(85)}, // a gated core's rest
+	}
+	caches := []string{"cold", "phase-key", "remainder-key", "full"}
+	full := fullCacheGrid(t, p) // nothing is admitted to it, so one serves every case
+	rng := rngx.New(13)
+	for _, mult := range []float64{0.5, 1, 2, 2.5, 3.7, 111} {
+		dur := mult * maxSubstep
+		for _, c := range conds {
+			captureAF, emitAF := p.captureAccel(c), p.emissionAccel(c)
+			for _, cache := range caches {
+				g := full
+				if cache != "full" {
+					g = newCETGrid(p)
+				}
+				switch {
+				case cache == "phase-key":
+					promote(g, captureAF, emitAF, maxSubstep)
+				case cache == "remainder-key" && c.Stressing():
+					promote(g, captureAF, emitAF, remainderOf(dur))
+				case cache == "remainder-key":
+					promote(g, captureAF, emitAF, dur) // the collapsed rest sweep
+				}
+				for _, s := range []Storage{StorageFloat64, StorageFloat32} {
+					label := fmt.Sprintf("%v for %g×maxSubstep, %s cache, %v", c, mult, cache, s)
+
+					// Apply on one device.
+					d := phaseTestDevice(rng, p, s, g)
+					want := d.Clone()
+					naive := d.Clone()
+					d.Apply(c, dur)
+					applyPerSubstepDevice(want, c, dur)
+					if diff := stateDiff(d, want); diff != "" {
+						t.Fatalf("%s Apply: %s", label, diff)
+					}
+					if s == StorageFloat64 {
+						applyReference(naive, c, dur)
+						for i := range d.occ {
+							if diff := math.Abs(d.occ[i] - naive.occ[i]); diff > 1e-12 {
+								t.Fatalf("%s: occ[%d] %g vs reference %g", label, i, d.occ[i], naive.occ[i])
+							}
+						}
+						if diff := relDiff(d.ShiftV(), naive.ShiftV()); diff > 1e-12 {
+							t.Fatalf("%s: ShiftV %g vs reference %g (rel %g)", label, d.ShiftV(), naive.ShiftV(), diff)
+						}
+					}
+
+					// BatchApply on a same-grid group.
+					group := make([]*Device, 3)
+					wants := make([]*Device, len(group))
+					for i := range group {
+						group[i] = phaseTestDevice(rng, p, s, g)
+						wants[i] = group[i].Clone()
+					}
+					BatchApply(group, c, dur)
+					for i := range group {
+						applyPerSubstepDevice(wants[i], c, dur)
+						if diff := stateDiff(group[i], wants[i]); diff != "" {
+							t.Fatalf("%s BatchApply member %d: %s", label, i, diff)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestPhaseKernelConcurrentSharedGrid runs phase-scoped Apply and BatchApply
+// from two goroutines on one shared grid — a cold one, so keys race through
+// promotion, and a full one, so every phase fills a pooled scratch kernel.
+// Each result must stay bit-identical to the per-substep path; under -race
+// this also covers concurrent use of the scratch-kernel and axis pools.
+func TestPhaseKernelConcurrentSharedGrid(t *testing.T) {
+	p := DefaultParams().Coarse()
+	for _, cache := range []string{"cold", "full"} {
+		g := newCETGrid(p)
+		if cache == "full" {
+			g = fullCacheGrid(t, p)
+		}
+		var wg sync.WaitGroup
+		errs := make(chan string, 2)
+		for w := 0; w < 2; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				rng := rngx.New(int64(100 + w))
+				for iter := 0; iter < 40; iter++ {
+					stress := Condition{GateVoltage: 1.0, Temp: units.Celsius(70 + float64(iter%5))}
+					rest := Condition{Temp: stress.Temp}
+					dur := []float64{2.5, 3.7, 1}[iter%3] * maxSubstep
+					devs := []*Device{phaseTestDevice(rng, p, StorageFloat64, g)}
+					if iter%2 == 1 {
+						devs = append(devs, phaseTestDevice(rng, p, StorageFloat64, g))
+					}
+					wants := make([]*Device, len(devs))
+					for i, d := range devs {
+						wants[i] = d.Clone()
+					}
+					BatchApply(devs, stress, dur)
+					BatchApply(devs, rest, 4*maxSubstep-dur)
+					for i, d := range devs {
+						applyPerSubstepDevice(wants[i], stress, dur)
+						applyPerSubstepDevice(wants[i], rest, 4*maxSubstep-dur)
+						if diff := stateDiff(d, wants[i]); diff != "" {
+							errs <- fmt.Sprintf("%s cache, worker %d iter %d: %s", cache, w, iter, diff)
+							return
+						}
+					}
+				}
+			}(w)
+		}
+		wg.Wait()
+		close(errs)
+		if msg, ok := <-errs; ok {
+			t.Fatal(msg)
+		}
 	}
 }

@@ -4,7 +4,7 @@ import "deepheal/internal/obs"
 
 // Package-level instruments for the condition-keyed kernel cache. They are
 // nil (free no-ops) until EnableMetrics installs live ones; the hot paths in
-// kernel.go and cet.go call them unconditionally.
+// kernel.go call them unconditionally.
 var (
 	metKernelHits     *obs.Counter
 	metKernelMisses   *obs.Counter
@@ -18,9 +18,9 @@ var (
 	metGridEvictions *obs.Counter
 	metGridEntries   *obs.Gauge
 
-	metBatchGroups         *obs.Counter
-	metBatchDevices        *obs.Counter
-	metBatchScratchKernels *obs.Counter
+	metBatchGroups  *obs.Counter
+	metBatchDevices *obs.Counter
+	metPhaseKernels *obs.Counter
 )
 
 // EnableMetrics registers the package's instruments in r and routes the
@@ -32,15 +32,17 @@ func EnableMetrics(r *obs.Registry) {
 	metKernelHits = r.Counter("deepheal_bti_kernel_hits_total",
 		"evolution substeps served by a cached condition-keyed kernel")
 	metKernelMisses = r.Counter("deepheal_bti_kernel_misses_total",
-		"kernel lookups that found no cached kernel for the condition key")
+		"kernel lookups that found no cached kernel for the condition key "+
+			"(a lookup answered on the read lock because the cache is full counts here only)")
 	metKernelBuilds = r.Counter("deepheal_bti_kernel_builds_total",
 		"evolution kernels materialised (O(nc*ne) builds)")
 	metKernelRefusals = r.Counter("deepheal_bti_kernel_admission_refusals_total",
-		"kernel promotions refused because the float budget was full")
+		"kernel promotions refused under the write lock because the float budget filled; "+
+			"lookups refused on the read lock once the cache is full count as misses, not here")
 	metKernelResident = r.Gauge("deepheal_bti_kernel_resident_floats",
 		"float64 words held by cached kernels across all grids")
 	metSeparableSweep = r.Counter("deepheal_bti_separable_sweeps_total",
-		"evolution substeps served by the direct separable sweep fallback")
+		"device substeps served by the direct separable sweep")
 	metGridHits = r.Counter("deepheal_bti_grid_hits_total",
 		"device constructions served by an already-resident shared CET grid")
 	metGridBuilds = r.Counter("deepheal_bti_grid_builds_total",
@@ -53,6 +55,6 @@ func EnableMetrics(r *obs.Registry) {
 		"multi-device shared-grid groups advanced by BatchApply")
 	metBatchDevices = r.Counter("deepheal_bti_batch_devices_total",
 		"devices advanced through batched group sweeps")
-	metBatchScratchKernels = r.Counter("deepheal_bti_batch_scratch_kernels_total",
-		"uncached batch substeps served by a pooled scratch kernel")
+	metPhaseKernels = r.Counter("deepheal_bti_phase_kernels_total",
+		"pooled scratch kernels filled to serve one uncached phase (every device, every substep of its length)")
 }
