@@ -6,13 +6,14 @@ import (
 )
 
 // compactSnapshotBudget is the committed byte ceiling for a mature 8x8
-// reference chip's compact snapshot. Measured at ~92 KB (steps 100-400;
-// the RLE rng journal keeps it flat with age) against ~242 KB for the gob
-// form, the budget adds ~40 % headroom for legitimate format evolution
-// while catching accidental bloat: a change that silently reverts a codec
-// to gob, forgets the byte-plane shuffle, or starts journaling per-draw rng
-// ops again will blow well past it. If you grow the format deliberately,
-// re-measure and move the constant in the same change.
+// reference chip's compact snapshot. Measured at ~97 KB (DEFLATE at
+// BestSpeed; the RLE rng journal keeps it flat with age) against ~246 KB
+// for the gob form, the budget adds ~35 % headroom for legitimate format
+// evolution while catching accidental bloat: a change that silently
+// reverts a codec to gob, forgets the byte-plane shuffle, or starts
+// journaling per-draw rng ops again will blow well past it. If you grow
+// the format deliberately, re-measure and move the constant in the same
+// change.
 const compactSnapshotBudget = 128 << 10
 
 func TestCompactSnapshotWithinBudget(t *testing.T) {

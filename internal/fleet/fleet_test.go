@@ -4,7 +4,9 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"reflect"
+	"sync"
 	"testing"
 
 	"deepheal/internal/bti"
@@ -412,5 +414,115 @@ func TestRemainingStepsEstimate(t *testing.T) {
 			t.Errorf("remainingSteps(%v, %v, %d) = %d, want %d",
 				tc.guardband, tc.limit, tc.step, got, tc.want)
 		}
+	}
+}
+
+// TestConcurrentChurnMatchesUnbudgeted races parallel suspension against
+// every stepping and query path: batches, single-chip steps, registrations
+// and status reads all run at once on a budgeted fleet. Afterwards the
+// budget must hold and every chip must match an unbudgeted fleet driven
+// through the same steps. Every step call advances 3 steps, so a chip's
+// final step count fixes the calls it received regardless of their order.
+func TestConcurrentChurnMatchesUnbudgeted(t *testing.T) {
+	const budget, stride = 4, 3
+	m := NewManager(Options{Workers: 2, MaxResident: budget})
+	defer m.Close()
+	spec := func(id string, seed int64) ChipSpec {
+		s := testSpec(id)
+		s.Steps, s.Seed = 10000, seed
+		return s
+	}
+	var specs []ChipSpec
+	for i := 0; i < 8; i++ {
+		specs = append(specs, spec(fmt.Sprintf("c%d", i), int64(i+1)))
+	}
+	for _, s := range specs {
+		if _, err := m.Register(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	late := []ChipSpec{spec("late0", 21), spec("late1", 22), spec("late2", 23)}
+
+	var wg sync.WaitGroup
+	errs := make(chan error, 5) // one slot per goroutine below, each sends at most once
+	run := func(fn func() error) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := fn(); err != nil {
+				errs <- err
+			}
+		}()
+	}
+	run(func() error {
+		for i := 0; i < 4; i++ {
+			if _, err := m.StepAll(ctx(), stride); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	for g := 0; g < 2; g++ {
+		g := g
+		run(func() error {
+			for i := 0; i < 6; i++ {
+				if _, err := m.Step(ctx(), specs[(g+2*i)%len(specs)].ID, stride); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+	}
+	run(func() error {
+		for _, s := range late {
+			if _, err := m.Register(s); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	run(func() error {
+		for i := 0; i < 40; i++ {
+			if _, err := m.Status(specs[i%len(specs)].ID); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+
+	byID := make(map[string]ChipSpec)
+	for _, s := range append(specs, late...) {
+		byID[s.ID] = s
+	}
+	free := NewManager(Options{Workers: 2})
+	defer free.Close()
+	resident := 0
+	for _, got := range m.List() {
+		if !got.Suspended {
+			resident++
+		}
+		if got.Step%stride != 0 {
+			t.Fatalf("chip %q at step %d, not a multiple of %d", got.ID, got.Step, stride)
+		}
+		want, err := free.Register(byID[got.ID])
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := 0; k < got.Step/stride; k++ {
+			if want, err = free.Step(ctx(), got.ID, stride); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !statusEqual(got, want) {
+			t.Errorf("chip %q diverged under concurrent churn:\n got %+v\nwant %+v", got.ID, got, want)
+		}
+	}
+	if resident > budget {
+		t.Errorf("%d chips resident after concurrent churn, budget %d", resident, budget)
 	}
 }

@@ -16,7 +16,7 @@ import (
 // opRun is one run of identical primitive draws in the snapshot journal.
 // The underlying generator consumes a variable number of raw words per draw
 // (e.g. the ziggurat normal sampler), so restoring a stream replays the
-// journal against a fresh generator instead of copying raw state. Runs are
+// journal against the seeded generator instead of copying raw state. Runs are
 // length-encoded: components that draw the same primitive every step (sensor
 // noise, for example) keep an O(1) journal regardless of simulation age.
 type opRun struct {
@@ -133,44 +133,102 @@ func (s *Source) Snapshot() ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// replay advances a fresh generator for the seed through the journal and
-// adopts the result as the receiver's state.
-func (s *Source) replay(seed int64, runs []opRun) error {
-	rng := rand.New(rand.NewSource(seed))
+// validate rejects a journal that no sequence of draws could have produced.
+func validate(runs []opRun) error {
 	for i, r := range runs {
 		if r.Count <= 0 {
 			return fmt.Errorf("rngx: restore: run %d: count %d invalid", i, r.Count)
 		}
 		switch r.Kind {
-		case opFloat64:
-			for k := int64(0); k < r.Count; k++ {
-				rng.Float64()
-			}
-		case opNorm:
-			for k := int64(0); k < r.Count; k++ {
-				rng.NormFloat64()
-			}
+		case opFloat64, opNorm, opSplit:
 		case opIntN:
 			if r.Arg <= 0 {
 				return fmt.Errorf("rngx: restore: run %d: IntN(%d) invalid", i, r.Arg)
-			}
-			for k := int64(0); k < r.Count; k++ {
-				rng.Intn(int(r.Arg))
 			}
 		case opPerm:
 			if r.Arg < 0 {
 				return fmt.Errorf("rngx: restore: run %d: Perm(%d) invalid", i, r.Arg)
 			}
-			for k := int64(0); k < r.Count; k++ {
-				rng.Perm(int(r.Arg))
-			}
-		case opSplit:
-			for k := int64(0); k < r.Count; k++ {
-				rng.Int63()
-			}
 		default:
 			return fmt.Errorf("rngx: restore: unknown op kind %d", r.Kind)
 		}
+	}
+	return nil
+}
+
+// advance consumes count draws of run r's kind from rng.
+func advance(rng *rand.Rand, r opRun, count int64) {
+	switch r.Kind {
+	case opFloat64:
+		for k := int64(0); k < count; k++ {
+			rng.Float64()
+		}
+	case opNorm:
+		for k := int64(0); k < count; k++ {
+			rng.NormFloat64()
+		}
+	case opIntN:
+		for k := int64(0); k < count; k++ {
+			rng.Intn(int(r.Arg))
+		}
+	case opPerm:
+		for k := int64(0); k < count; k++ {
+			rng.Perm(int(r.Arg))
+		}
+	case opSplit:
+		for k := int64(0); k < count; k++ {
+			rng.Int63()
+		}
+	}
+}
+
+// prefixOf reports how far the receiver's journal already is into runs:
+// ok when it is a prefix of runs (its last run may be a shorter copy of the
+// matching run), with i the index of the first run not fully consumed and
+// done the draws of runs[i] already made.
+func (s *Source) prefixOf(runs []opRun) (i int, done int64, ok bool) {
+	n := len(s.journal)
+	if n == 0 {
+		return 0, 0, true
+	}
+	if n > len(runs) {
+		return 0, 0, false
+	}
+	for k := 0; k < n-1; k++ {
+		if s.journal[k] != runs[k] {
+			return 0, 0, false
+		}
+	}
+	last, want := s.journal[n-1], runs[n-1]
+	if last.Kind != want.Kind || last.Arg != want.Arg || last.Count > want.Count {
+		return 0, 0, false
+	}
+	if last.Count == want.Count {
+		return n, 0, true
+	}
+	return n - 1, last.Count, true
+}
+
+// replay moves the receiver to the stream position the journal describes.
+// When the receiver runs the same seed and has drawn a prefix of the
+// journal — always so for a freshly built component restoring its own later
+// snapshot — it only makes the missing draws on its existing generator;
+// otherwise it replays the whole journal against a fresh one. Either way
+// the generator and the draw sequence match the original's, so the
+// continuation is identical. The journal is validated first, so a rejected
+// snapshot leaves the receiver untouched.
+func (s *Source) replay(seed int64, runs []opRun) error {
+	if err := validate(runs); err != nil {
+		return err
+	}
+	rng := s.rng
+	from, done, ok := s.prefixOf(runs)
+	if rng == nil || seed != s.seed || !ok {
+		rng, from, done = rand.New(rand.NewSource(seed)), 0, 0
+	}
+	for i := from; i < len(runs); i++ {
+		advance(rng, runs[i], runs[i].Count-done)
+		done = 0
 	}
 	s.rng = rng
 	s.seed = seed
@@ -178,8 +236,8 @@ func (s *Source) replay(seed int64, runs []opRun) error {
 	return nil
 }
 
-// Restore rewinds the receiver to the snapshotted stream position by
-// replaying the recorded draws against a fresh generator.
+// Restore moves the receiver to the snapshotted stream position by replaying
+// the recorded draws (see replay).
 func (s *Source) Restore(data []byte) error {
 	var snap sourceSnapshot
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&snap); err != nil {
