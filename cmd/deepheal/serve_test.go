@@ -12,7 +12,7 @@ import (
 )
 
 // startServe runs the serve subcommand in-process against a free port and
-// returns its base URL plus a shutdown function that simulates SIGTERM
+// returns its base URL, once ready, plus a shutdown function that simulates SIGTERM
 // (cancels the context, as withSignalHandling would) and waits for the
 // clean exit.
 func startServe(t *testing.T, extra ...string) (base string, shutdown func()) {
@@ -33,6 +33,22 @@ func startServe(t *testing.T, extra ...string) (base string, shutdown func()) {
 		if time.Now().After(deadline) {
 			cancel()
 			t.Fatalf("serve did not come up: %v", err)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	// The address is published before a checkpoint restore finishes; wait
+	// for readiness so no query sees a half-restored fleet.
+	for {
+		resp, err := http.Get(base + "/readyz")
+		if err == nil {
+			resp.Body.Close()
+			if resp.StatusCode == http.StatusOK {
+				break
+			}
+		}
+		if time.Now().After(deadline) {
+			cancel()
+			t.Fatalf("serve did not become ready: %v", err)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}

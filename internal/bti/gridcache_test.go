@@ -1,6 +1,7 @@
 package bti
 
 import (
+	"math"
 	"testing"
 
 	"deepheal/internal/units"
@@ -67,10 +68,10 @@ func TestDeviceCompactSnapshotRoundTrip(t *testing.T) {
 	d := MustNewDevice(p)
 	d.Apply(Condition{GateVoltage: 1.2, Temp: units.Celsius(125)}, 7200)
 	d.Apply(Condition{GateVoltage: 0, Temp: units.Celsius(125)}, 1800)
-	data := d.SnapshotCompact()
+	data := d.Snapshot()
 
 	r := MustNewDevice(p)
-	if err := r.RestoreCompact(data); err != nil {
+	if err := r.Restore(data); err != nil {
 		t.Fatal(err)
 	}
 	if r.ShiftV() != d.ShiftV() || r.Age() != d.Age() || r.PermanentV() != d.PermanentV() {
@@ -88,16 +89,40 @@ func TestDeviceCompactSnapshotRoundTrip(t *testing.T) {
 func TestDeviceCompactRejectsMismatchAndGarbage(t *testing.T) {
 	p := DefaultParams().Coarse()
 	d := MustNewDevice(p)
-	data := d.SnapshotCompact()
+	data := d.Snapshot()
 
 	other := MustNewDevice(DefaultParams()) // different grid dimensions
-	if err := other.RestoreCompact(data); err == nil {
+	if err := other.Restore(data); err == nil {
 		t.Error("compact snapshot accepted by a device with different grid dimensions")
 	}
-	for _, junk := range [][]byte{nil, {}, []byte("x"), data[:len(data)-1]} {
-		if err := MustNewDevice(p).RestoreCompact(junk); err == nil {
+	// corrupt encodes a device whose state mut has poisoned.
+	corrupt := func(mut func(*Device)) []byte {
+		c := MustNewDevice(p)
+		mut(c)
+		return c.Snapshot()
+	}
+	for _, junk := range [][]byte{
+		nil, {}, []byte("x"), data[:len(data)-1],
+		corrupt(func(c *Device) { c.occ[0] = math.NaN() }),
+		corrupt(func(c *Device) { c.occ[1] = 1.5 }),
+		corrupt(func(c *Device) { c.precursorV = math.NaN() }),
+		corrupt(func(c *Device) { c.lockedV = math.Inf(1) }),
+		corrupt(func(c *Device) { c.age = math.NaN() }),
+		corrupt(func(c *Device) { c.age = -1 }),
+	} {
+		if err := MustNewDevice(p).Restore(junk); err == nil {
 			t.Errorf("garbage of %d bytes accepted", len(junk))
 		}
+	}
+	d32, err := NewDeviceStorage(p, StorageFloat32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d32.occ32[0] = float32(math.NaN())
+	nan32 := d32.Snapshot()
+	d32.occ32[0] = 0
+	if err := d32.Restore(nan32); err == nil {
+		t.Error("float32 NaN occupancy accepted")
 	}
 }
 

@@ -1,107 +1,27 @@
 package bti
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"math"
 )
 
-// deviceSnapshot is the serialised form of a Device's mutable state. The
-// parameters are stored alongside so a restore can verify it is being
-// applied to a compatible model. Exactly one occupancy slice is populated,
-// per Storage; snapshots written before the float32 mode existed decode with
-// the zero Storage (StorageFloat64) and a nil Occupancy32, so they restore
-// unchanged.
-type deviceSnapshot struct {
-	Params      Params
-	Storage     Storage
-	Occupancy   []float64
-	Occupancy32 []float32
-	PrecursorV  float64
-	LockedV     float64
-	Age         float64
-}
+// Snapshot codec. A fleet checkpoint holds thousands of devices whose
+// Params the chip spec already pins, so a snapshot stores only the mutable
+// state: grid dimensions (as a compatibility check), the three
+// permanent-state floats, and the raw occupancy. The occupancy bytes are
+// transposed byte-plane-wise (HDF5-style shuffle) so the slowly-varying
+// high-order exponent/sign bytes of neighbouring cells become long runs
+// that the container's DEFLATE layer can squeeze; the transform is exactly
+// invertible, keeping restores bit-identical.
 
-// Snapshot serialises the device's aging state. Use RestoreDevice to resume
-// a long-running simulation (e.g. a lifetime study checkpointed across
-// processes).
-func (d *Device) Snapshot() ([]byte, error) {
-	var buf bytes.Buffer
-	snap := deviceSnapshot{
-		Params:      d.params,
-		Storage:     d.Storage(),
-		Occupancy:   d.occ,
-		Occupancy32: d.occ32,
-		PrecursorV:  d.precursorV,
-		LockedV:     d.lockedV,
-		Age:         d.age,
-	}
-	if err := gob.NewEncoder(&buf).Encode(snap); err != nil {
-		return nil, fmt.Errorf("bti: snapshot: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-// RestoreDevice rebuilds a device from a Snapshot, in the storage mode the
-// snapshot was taken with.
-func RestoreDevice(data []byte) (*Device, error) {
-	var snap deviceSnapshot
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&snap); err != nil {
-		return nil, fmt.Errorf("bti: restore: %w", err)
-	}
-	d, err := NewDeviceStorage(snap.Params, snap.Storage)
-	if err != nil {
-		return nil, fmt.Errorf("bti: restore: %w", err)
-	}
-	if snap.Storage == StorageFloat32 {
-		if len(snap.Occupancy32) != len(d.occ32) {
-			return nil, fmt.Errorf("bti: restore: occupancy size %d does not match grid %d",
-				len(snap.Occupancy32), len(d.occ32))
-		}
-		for i, v := range snap.Occupancy32 {
-			if v < 0 || v > 1 {
-				return nil, fmt.Errorf("bti: restore: occupancy[%d] = %g outside [0,1]", i, v)
-			}
-		}
-		copy(d.occ32, snap.Occupancy32)
-	} else {
-		if len(snap.Occupancy) != len(d.occ) {
-			return nil, fmt.Errorf("bti: restore: occupancy size %d does not match grid %d",
-				len(snap.Occupancy), len(d.occ))
-		}
-		for i, v := range snap.Occupancy {
-			if v < 0 || v > 1 {
-				return nil, fmt.Errorf("bti: restore: occupancy[%d] = %g outside [0,1]", i, v)
-			}
-		}
-		copy(d.occ, snap.Occupancy)
-	}
-	d.precursorV = snap.PrecursorV
-	d.lockedV = snap.LockedV
-	d.age = snap.Age
-	return d, nil
-}
-
-// Compact codec. The gob form above carries the full Params struct per
-// device so a snapshot is self-describing; a fleet checkpoint holds
-// thousands of devices whose Params the chip spec already pins, so the
-// compact form stores only the mutable state: grid dimensions (as a
-// compatibility check), the three permanent-state floats, and the raw
-// occupancy. The occupancy bytes are transposed byte-plane-wise
-// (HDF5-style shuffle) so the slowly-varying high-order exponent/sign
-// bytes of neighbouring cells become long runs that the container's
-// DEFLATE layer can squeeze; the transform is exactly invertible, keeping
-// restores bit-identical.
-
-// compactDeviceMagic tags the compact device framing with float64 occupancy
-// planes; compactDeviceMagic32 tags the float32 variant (4-byte planes, half
-// the payload). The magic doubles as the storage-mode check: a restore
+// deviceMagic tags the device framing with float64 occupancy planes;
+// deviceMagic32 tags the float32 variant (4-byte planes, half the
+// payload). The magic doubles as the storage-mode check: a restore
 // requires the payload's mode to match the receiving device's.
 const (
-	compactDeviceMagic   = 'B'
-	compactDeviceMagic32 = 'b'
+	deviceMagic   = 'B'
+	deviceMagic32 = 'b'
 )
 
 // shuffleBytes transposes an n×stride byte matrix into dst: plane b of the
@@ -125,16 +45,15 @@ func unshuffleBytes(dst, src []byte, stride int) {
 	}
 }
 
-// SnapshotCompact serialises the device's mutable state in the compact
-// fleet framing. Restore with RestoreCompact on a device built from the
-// same Params and storage mode. Float32 devices emit 4-byte planes, halving
-// the dominant payload.
-func (d *Device) SnapshotCompact() []byte {
+// Snapshot serialises the device's mutable state. Restore it with Restore
+// on a device built from the same Params and storage mode. Float32 devices
+// emit 4-byte planes, halving the dominant payload.
+func (d *Device) Snapshot() []byte {
 	stride, cells := 8, len(d.occ)
-	magic := byte(compactDeviceMagic)
+	magic := byte(deviceMagic)
 	if d.occ32 != nil {
 		stride, cells = 4, len(d.occ32)
-		magic = compactDeviceMagic32
+		magic = deviceMagic32
 	}
 	buf := make([]byte, 0, 1+2*binary.MaxVarintLen64+24+stride*cells)
 	buf = append(buf, magic)
@@ -158,49 +77,53 @@ func (d *Device) SnapshotCompact() []byte {
 	return append(buf, shuffled...)
 }
 
-// RestoreCompact rewinds the receiver from a SnapshotCompact payload taken
-// from a device with the same grid dimensions and storage mode.
-func (d *Device) RestoreCompact(data []byte) error {
-	if len(data) == 0 || (data[0] != compactDeviceMagic && data[0] != compactDeviceMagic32) {
-		return fmt.Errorf("bti: restore compact: bad magic")
+// Restore rewinds the receiver from a Snapshot payload taken from a device
+// with the same grid dimensions and storage mode. A rejected payload leaves
+// the receiver untouched.
+func (d *Device) Restore(data []byte) error {
+	if len(data) == 0 || (data[0] != deviceMagic && data[0] != deviceMagic32) {
+		return fmt.Errorf("bti: restore: bad magic")
 	}
 	stride := 8
-	if data[0] == compactDeviceMagic32 {
+	if data[0] == deviceMagic32 {
 		stride = 4
 	}
 	if (stride == 4) != (d.occ32 != nil) {
-		return fmt.Errorf("bti: restore compact: snapshot storage does not match device storage %v", d.Storage())
+		return fmt.Errorf("bti: restore: snapshot storage does not match device storage %v", d.Storage())
 	}
 	rest := data[1:]
 	nc, n := binary.Uvarint(rest)
 	if n <= 0 {
-		return fmt.Errorf("bti: restore compact: truncated capture dim")
+		return fmt.Errorf("bti: restore: truncated capture dim")
 	}
 	rest = rest[n:]
 	ne, n := binary.Uvarint(rest)
 	if n <= 0 {
-		return fmt.Errorf("bti: restore compact: truncated emission dim")
+		return fmt.Errorf("bti: restore: truncated emission dim")
 	}
 	rest = rest[n:]
 	if int(nc) != d.params.GridCapture || int(ne) != d.params.GridEmission {
-		return fmt.Errorf("bti: restore compact: snapshot grid %dx%d does not match device %dx%d",
+		return fmt.Errorf("bti: restore: snapshot grid %dx%d does not match device %dx%d",
 			nc, ne, d.params.GridCapture, d.params.GridEmission)
 	}
 	cells := d.params.GridCapture * d.params.GridEmission
 	if len(rest) != 24+stride*cells {
-		return fmt.Errorf("bti: restore compact: payload %dB, want %dB", len(rest), 24+stride*cells)
+		return fmt.Errorf("bti: restore: payload %dB, want %dB", len(rest), 24+stride*cells)
 	}
 	precursorV := math.Float64frombits(binary.LittleEndian.Uint64(rest[0:]))
 	lockedV := math.Float64frombits(binary.LittleEndian.Uint64(rest[8:]))
 	age := math.Float64frombits(binary.LittleEndian.Uint64(rest[16:]))
+	if !finite(precursorV) || !finite(lockedV) || !finite(age) || age < 0 {
+		return fmt.Errorf("bti: restore: invalid permanent state %g/%g V or age %g s", precursorV, lockedV, age)
+	}
 	raw := make([]byte, stride*cells)
 	unshuffleBytes(raw, rest[24:], stride)
 	if stride == 4 {
 		occ := make([]float32, cells)
 		for i := range occ {
 			occ[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[4*i:]))
-			if occ[i] < 0 || occ[i] > 1 {
-				return fmt.Errorf("bti: restore compact: occupancy[%d] = %g outside [0,1]", i, occ[i])
+			if !(occ[i] >= 0 && occ[i] <= 1) {
+				return fmt.Errorf("bti: restore: occupancy[%d] = %g outside [0,1]", i, occ[i])
 			}
 		}
 		copy(d.occ32, occ)
@@ -208,8 +131,8 @@ func (d *Device) RestoreCompact(data []byte) error {
 		occ := make([]float64, cells)
 		for i := range occ {
 			occ[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
-			if occ[i] < 0 || occ[i] > 1 {
-				return fmt.Errorf("bti: restore compact: occupancy[%d] = %g outside [0,1]", i, occ[i])
+			if !(occ[i] >= 0 && occ[i] <= 1) {
+				return fmt.Errorf("bti: restore: occupancy[%d] = %g outside [0,1]", i, occ[i])
 			}
 		}
 		copy(d.occ, occ)
@@ -219,3 +142,6 @@ func (d *Device) RestoreCompact(data []byte) error {
 	d.age = age
 	return nil
 }
+
+// finite reports whether v is neither NaN nor infinite.
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }

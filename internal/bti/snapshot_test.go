@@ -1,6 +1,7 @@
 package bti
 
 import (
+	"bytes"
 	"math"
 	"testing"
 
@@ -12,12 +13,8 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	d.Apply(StressAccel, units.Hours(10))
 	d.Apply(RecoverDeep, units.Hours(2))
 
-	data, err := d.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := RestoreDevice(data)
-	if err != nil {
+	r := MustNewDevice(DefaultParams())
+	if err := r.Restore(d.Snapshot()); err != nil {
 		t.Fatal(err)
 	}
 	if r.ShiftV() != d.ShiftV() || r.PermanentV() != d.PermanentV() || r.Age() != d.Age() {
@@ -31,12 +28,19 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSnapshotRejectsGarbage checks a rejected payload leaves the receiver
+// exactly as it was.
 func TestSnapshotRejectsGarbage(t *testing.T) {
-	if _, err := RestoreDevice([]byte("not a snapshot")); err == nil {
-		t.Error("garbage accepted")
-	}
-	if _, err := RestoreDevice(nil); err == nil {
-		t.Error("empty snapshot accepted")
+	d := MustNewDevice(DefaultParams())
+	d.Apply(StressAccel, units.Hours(3))
+	before := d.Snapshot()
+	for _, junk := range [][]byte{nil, []byte("not a snapshot"), before[:len(before)/2]} {
+		if err := d.Restore(junk); err == nil {
+			t.Errorf("garbage of %d bytes accepted", len(junk))
+		}
+		if !bytes.Equal(d.Snapshot(), before) {
+			t.Fatalf("rejected payload of %d bytes changed the device", len(junk))
+		}
 	}
 }
 
@@ -48,21 +52,17 @@ func TestSnapshotRoundTripFloat32(t *testing.T) {
 	d.Apply(StressAccel, units.Hours(10))
 	d.Apply(RecoverDeep, units.Hours(2))
 
-	data, err := d.Snapshot()
+	r, err := NewDeviceStorage(DefaultParams(), StorageFloat32)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := RestoreDevice(data)
-	if err != nil {
+	if err := r.Restore(d.Snapshot()); err != nil {
 		t.Fatal(err)
 	}
-	if r.Storage() != StorageFloat32 {
-		t.Fatalf("restored storage = %v", r.Storage())
-	}
-	requireDeviceEqual(t, r, d, "gob float32 restore")
+	requireDeviceEqual(t, r, d, "float32 restore")
 	d.Apply(StressAccel, units.Hours(5))
 	r.Apply(StressAccel, units.Hours(5))
-	requireDeviceEqual(t, r, d, "gob float32 post-restore evolution")
+	requireDeviceEqual(t, r, d, "float32 post-restore evolution")
 }
 
 func TestCompactSnapshotFloat32RoundTripAndSize(t *testing.T) {
@@ -74,42 +74,68 @@ func TestCompactSnapshotFloat32RoundTripAndSize(t *testing.T) {
 	d64 := MustNewDevice(DefaultParams())
 	d64.Apply(StressAccel, units.Hours(10))
 
-	blob := d.SnapshotCompact()
-	blob64 := d64.SnapshotCompact()
+	blob := d.Snapshot()
+	blob64 := d64.Snapshot()
 	// The occupancy payload dominates; float32 must halve it.
 	if len(blob) >= len(blob64)*2/3 {
-		t.Fatalf("float32 compact snapshot %dB not well below float64's %dB", len(blob), len(blob64))
+		t.Fatalf("float32 snapshot %dB not well below float64's %dB", len(blob), len(blob64))
 	}
 	r, err := NewDeviceStorage(DefaultParams(), StorageFloat32)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r.RestoreCompact(blob); err != nil {
+	if err := r.Restore(blob); err != nil {
 		t.Fatal(err)
 	}
-	requireDeviceEqual(t, r, d, "compact float32 restore")
+	requireDeviceEqual(t, r, d, "float32 restore")
 
 	// Storage modes must not cross-restore: the payload stride is baked into
 	// the framing.
-	if err := d64.RestoreCompact(blob); err == nil {
+	if err := d64.Restore(blob); err == nil {
 		t.Error("float64 device accepted a float32 payload")
 	}
-	if err := r.RestoreCompact(blob64); err == nil {
+	if err := r.Restore(blob64); err == nil {
 		t.Error("float32 device accepted a float64 payload")
 	}
 }
 
 func TestSnapshotFreshDevice(t *testing.T) {
 	d := MustNewDevice(DefaultParams())
-	data, err := d.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := RestoreDevice(data)
-	if err != nil {
+	r := MustNewDevice(DefaultParams())
+	r.Apply(StressAccel, units.Hours(1))
+	if err := r.Restore(d.Snapshot()); err != nil {
 		t.Fatal(err)
 	}
 	if r.ShiftV() != 0 || r.Age() != 0 {
 		t.Error("fresh snapshot not fresh")
+	}
+}
+
+// TestDeviceResumeBitIdentical drives a device through alternating stress
+// and active recovery, checkpoints it mid-way, and checks a second device
+// restored from the checkpoint ends bit-identical to the uninterrupted one.
+func TestDeviceResumeBitIdentical(t *testing.T) {
+	p := DefaultParams().Coarse()
+	cond := func(step int) Condition {
+		v := 1.0
+		if step%2 == 1 {
+			v = -0.3
+		}
+		return Condition{GateVoltage: v, Temp: units.Celsius(85)}
+	}
+	a := MustNewDevice(p)
+	for step := 0; step < 3; step++ {
+		a.Apply(cond(step), 3600)
+	}
+	b := MustNewDevice(p)
+	if err := b.Restore(a.Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+	for step := 3; step < 7; step++ {
+		a.Apply(cond(step), 3600)
+		b.Apply(cond(step), 3600)
+	}
+	if !bytes.Equal(a.Snapshot(), b.Snapshot()) {
+		t.Error("resumed state diverged from uninterrupted run")
 	}
 }

@@ -6,14 +6,13 @@ import (
 )
 
 // compactSnapshotBudget is the committed byte ceiling for a mature 8x8
-// reference chip's compact snapshot. Measured at ~97 KB (DEFLATE at
-// BestSpeed; the RLE rng journal keeps it flat with age) against ~246 KB
-// for the gob form, the budget adds ~35 % headroom for legitimate format
-// evolution while catching accidental bloat: a change that silently
-// reverts a codec to gob, forgets the byte-plane shuffle, or starts
-// journaling per-draw rng ops again will blow well past it. If you grow
-// the format deliberately, re-measure and move the constant in the same
-// change.
+// reference chip's snapshot. Measured at ~97 KB (DEFLATE at BestSpeed; the
+// RLE rng journal keeps it flat with age), the budget adds ~35 % headroom
+// for legitimate format evolution while catching accidental bloat: a
+// change that swaps a component codec for a self-describing one, forgets
+// the byte-plane shuffle, or starts journaling per-draw rng ops again will
+// blow well past it. If you grow the format deliberately, re-measure and
+// move the constant in the same change.
 const compactSnapshotBudget = 128 << 10
 
 func TestCompactSnapshotWithinBudget(t *testing.T) {
@@ -31,22 +30,12 @@ func TestCompactSnapshotWithinBudget(t *testing.T) {
 	if err := sim.RunSteps(context.Background(), 200); err != nil {
 		t.Fatal(err)
 	}
-	compact, err := sim.SnapshotCompact()
+	snap, err := sim.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(compact) > compactSnapshotBudget {
-		t.Errorf("mature 8x8 compact snapshot is %d bytes, budget %d — if this growth is intentional, re-measure and update compactSnapshotBudget",
-			len(compact), compactSnapshotBudget)
-	}
-
-	// The compact form must also stay meaningfully smaller than gob — that
-	// ratio is the whole point of the fleet suspend path.
-	gob, err := sim.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(compact)*2 > len(gob) {
-		t.Errorf("compact snapshot %d B is not at least 2x smaller than gob %d B", len(compact), len(gob))
+	if len(snap) > compactSnapshotBudget {
+		t.Errorf("mature 8x8 snapshot is %d bytes, budget %d — if this growth is intentional, re-measure and update compactSnapshotBudget",
+			len(snap), compactSnapshotBudget)
 	}
 }

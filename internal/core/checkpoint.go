@@ -31,7 +31,6 @@ type simState struct {
 	PolicyName    string
 	PolicyState   []byte // nil when the policy is stateless
 	Lean          bool   // series holds only the latest StepStats
-	Compact       bool   // component payloads use the compact codecs
 	LastTemps     []float64
 	SensedShift   []float64
 	SensedEMDelta float64
@@ -66,96 +65,44 @@ func wantSeriesLen(state simState) int {
 	return state.Step
 }
 
-// restoreComponent rewinds one component from the snapshot, dispatching on
-// the payload form the checkpoint was taken with.
-func restoreComponent(snap *engine.SystemSnapshot, name string, compact bool, c engine.Component, restoreCompact func([]byte) error) error {
-	if !compact {
-		return snap.Restore(name, c)
-	}
-	data, err := snap.Bytes(name)
-	if err != nil {
-		return err
-	}
-	if err := restoreCompact(data); err != nil {
-		return fmt.Errorf("engine: restore %q: %w", name, err)
-	}
-	return nil
-}
-
 // Snapshot checkpoints the whole system — every BTI core, EM segment, the
 // thermal and power grids, all sensor noise streams, the policy's planning
 // state and the report accumulators — into one versioned blob. It must be
 // taken on a step boundary (never from inside a hook).
+//
+// The numerous BTI, EM and sensor components use their own dense codecs;
+// the grids and the sim state stay gob (one each per chip). The engine
+// container compresses everything with DEFLATE at BestSpeed through a
+// pooled writer, cheap enough to take on every eviction, which is what
+// lets a fleet suspend evicted chips to in-memory blobs. Size is guarded
+// by a regression test against a committed byte budget.
 func (s *Simulator) Snapshot() ([]byte, error) {
-	return s.snapshot(false)
-}
-
-// SnapshotCompact is Snapshot in the compact fleet framing: per-component
-// compact codecs for the numerous BTI/EM/sensor components (the grids and
-// the sim state stay gob — one each per chip) inside the engine container,
-// compressed with DEFLATE at BestSpeed by a pooled writer. Restore accepts
-// both forms; the compact one is ~2.5× smaller than gob and cheap enough
-// to take on every eviction, which is what lets a fleet suspend evicted
-// chips to in-memory blobs. Size is guarded by a regression test against a
-// committed byte budget.
-func (s *Simulator) SnapshotCompact() ([]byte, error) {
-	return s.snapshot(true)
-}
-
-func (s *Simulator) snapshot(compact bool) ([]byte, error) {
 	var start time.Time
 	if metCkptSaveSeconds != nil {
 		start = time.Now()
 	}
-	snap := engine.NewSystemSnapshot(s.step)
-	for i, dev := range s.cores {
-		var err error
-		if compact {
-			err = snap.AddBytes(snapCore(i), dev.SnapshotCompact())
-		} else {
-			err = snap.Add(snapCore(i), dev)
-		}
-		if err != nil {
-			return nil, err
-		}
-	}
-	for i, ro := range s.sensors {
-		var err error
-		if compact {
-			err = snap.AddBytes(snapROSensor(i), ro.SnapshotCompact())
-		} else {
-			err = snap.Add(snapROSensor(i), ro)
-		}
-		if err != nil {
-			return nil, err
-		}
-	}
-	for k, seg := range s.segments {
-		var err error
-		if compact {
-			err = snap.AddBytes(snapSegment(k), seg.SnapshotCompact())
-		} else {
-			err = snap.Add(snapSegment(k), seg)
-		}
-		if err != nil {
-			return nil, err
-		}
-	}
-	if compact {
-		if err := snap.AddBytes(snapEMSensor, s.emSensor.SnapshotCompact()); err != nil {
-			return nil, err
-		}
-	} else if err := snap.Add(snapEMSensor, s.emSensor); err != nil {
+	grid, err := s.grid.Snapshot()
+	if err != nil {
 		return nil, err
 	}
-	for _, c := range []struct {
-		name string
-		comp engine.Component
-	}{{snapThermal, s.grid}, {snapPDN, s.power}} {
-		if err := snap.Add(c.name, c.comp); err != nil {
-			return nil, err
-		}
+	power, err := s.power.Snapshot()
+	if err != nil {
+		return nil, err
 	}
+	// Component names are distinct by construction.
+	snap := engine.NewSystemSnapshot(s.step)
+	for i, dev := range s.cores {
+		snap.Components[snapCore(i)] = dev.Snapshot()
+	}
+	for i, ro := range s.sensors {
+		snap.Components[snapROSensor(i)] = ro.Snapshot()
+	}
+	for k, seg := range s.segments {
+		snap.Components[snapSegment(k)] = seg.Snapshot()
+	}
+	snap.Components[snapEMSensor] = s.emSensor.Snapshot()
+	snap.Components[snapThermal] = grid
+	snap.Components[snapPDN] = power
 
 	state := simState{
 		Step:          s.step,
@@ -165,7 +112,6 @@ func (s *Simulator) snapshot(compact bool) ([]byte, error) {
 		Segments:      len(s.segments),
 		PolicyName:    s.policy.Name(),
 		Lean:          s.opts.LeanSeries,
-		Compact:       compact,
 		LastTemps:     s.lastTemps,
 		SensedShift:   s.sensedShift,
 		SensedEMDelta: s.sensedEMDelta,
@@ -189,16 +135,8 @@ func (s *Simulator) snapshot(compact bool) ([]byte, error) {
 	if err := gob.NewEncoder(&buf).Encode(state); err != nil {
 		return nil, fmt.Errorf("core: snapshot: %w", err)
 	}
-	if err := snap.AddBytes(snapSim, buf.Bytes()); err != nil {
-		return nil, err
-	}
-	var blob []byte
-	var err error
-	if compact {
-		blob, err = snap.EncodeCompact()
-	} else {
-		blob, err = snap.Encode()
-	}
+	snap.Components[snapSim] = buf.Bytes()
+	blob, err := snap.Encode()
 	if err != nil {
 		return nil, err
 	}
@@ -245,6 +183,10 @@ func (s *Simulator) Restore(data []byte) error {
 		return fmt.Errorf("core: restore: snapshot lean-series mode %v, simulator %v", state.Lean, s.opts.LeanSeries)
 	case state.Step < 0 || state.Step > s.cfg.Steps || len(state.Series) != wantSeriesLen(state):
 		return fmt.Errorf("core: restore: inconsistent resume point (step %d, %d recorded)", state.Step, len(state.Series))
+	case len(state.LastTemps) != len(s.lastTemps) || len(state.SensedShift) != len(s.sensedShift) ||
+		state.PrevModes != nil && len(state.PrevModes) != len(s.cores):
+		return fmt.Errorf("core: restore: per-core state sized %d/%d/%d for %d cores",
+			len(state.LastTemps), len(state.SensedShift), len(state.PrevModes), len(s.cores))
 	}
 	if state.PolicyState != nil {
 		sp, ok := s.policy.(StatefulPolicy)
@@ -256,29 +198,36 @@ func (s *Simulator) Restore(data []byte) error {
 		}
 	}
 
+	restore := func(name string, restore func([]byte) error) error {
+		data, err := snap.Bytes(name)
+		if err != nil {
+			return err
+		}
+		if err := restore(data); err != nil {
+			return fmt.Errorf("core: restore %q: %w", name, err)
+		}
+		return nil
+	}
 	for i, dev := range s.cores {
-		if err := restoreComponent(snap, snapCore(i), state.Compact, dev, dev.RestoreCompact); err != nil {
+		if err := restore(snapCore(i), dev.Restore); err != nil {
 			return err
 		}
 	}
 	for i, ro := range s.sensors {
-		if err := restoreComponent(snap, snapROSensor(i), state.Compact, ro, ro.RestoreCompact); err != nil {
+		if err := restore(snapROSensor(i), ro.Restore); err != nil {
 			return err
 		}
 	}
 	for k, seg := range s.segments {
-		if err := restoreComponent(snap, snapSegment(k), state.Compact, seg, seg.RestoreCompact); err != nil {
+		if err := restore(snapSegment(k), seg.Restore); err != nil {
 			return err
 		}
 	}
-	if err := restoreComponent(snap, snapEMSensor, state.Compact, s.emSensor, s.emSensor.RestoreCompact); err != nil {
-		return err
-	}
 	for _, c := range []struct {
-		name string
-		comp engine.Component
-	}{{snapThermal, s.grid}, {snapPDN, s.power}} {
-		if err := snap.Restore(c.name, c.comp); err != nil {
+		name    string
+		restore func([]byte) error
+	}{{snapEMSensor, s.emSensor.Restore}, {snapThermal, s.grid.Restore}, {snapPDN, s.power.Restore}} {
+		if err := restore(c.name, c.restore); err != nil {
 			return err
 		}
 	}

@@ -203,6 +203,11 @@ func (p *DeepHealing) Plan(obs Observation) Decision {
 	if p.remaining == nil {
 		p.remaining = make([]int, n)
 	}
+	if len(p.remaining) != n {
+		// Restored countdowns for another core count: plan nothing, so the
+		// simulator reports the mode-count mismatch instead of panicking.
+		return Decision{}
+	}
 	modes := make([]CoreMode, n)
 	recovering := 0
 	for i := range modes {

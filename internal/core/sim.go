@@ -309,41 +309,29 @@ func (s *Simulator) stageThermal() error {
 // to serial stepping.
 func (s *Simulator) stageWearout() error {
 	cfg := s.cfg
-	n := cfg.NumCores()
-	errs := make([]error, n)
-	s.pool.ForEach(n, func(i int) {
-		temp := s.temps[i]
+	s.pool.ForEach(cfg.NumCores(), func(i int) {
+		dev, temp := s.cores[i], s.temps[i]
 		switch s.dec.Modes[i] {
 		case ModeRun:
-			errs[i] = s.cores[i].StepUnder(engine.Condition{
-				Seconds: cfg.StepSeconds, VoltageV: cfg.ActiveGateV, Temp: temp})
+			dev.Apply(bti.Condition{GateVoltage: cfg.ActiveGateV, Temp: temp}, cfg.StepSeconds)
 		case ModeGated:
 			stress := s.effUtil[i] * cfg.StepSeconds
 			if stress > 0 {
-				errs[i] = s.cores[i].StepUnder(engine.Condition{
-					Seconds: stress, VoltageV: cfg.ActiveGateV, Temp: temp})
+				dev.Apply(bti.Condition{GateVoltage: cfg.ActiveGateV, Temp: temp}, stress)
 			}
-			if rest := cfg.StepSeconds - stress; rest > 0 && errs[i] == nil {
-				errs[i] = s.cores[i].StepUnder(engine.Condition{
-					Seconds: rest, VoltageV: 0, Temp: temp})
+			if rest := cfg.StepSeconds - stress; rest > 0 {
+				dev.Apply(bti.Condition{GateVoltage: 0, Temp: temp}, rest)
 			}
 		case ModeRecover:
-			errs[i] = s.cores[i].StepUnder(engine.Condition{
-				Seconds: cfg.StepSeconds, VoltageV: cfg.RecoveryV, Temp: temp})
+			dev.Apply(bti.Condition{GateVoltage: cfg.RecoveryV, Temp: temp}, cfg.StepSeconds)
 		}
 	})
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
 
 	sign := 1.0
 	if s.dec.EMReverse {
 		sign = -1
 	}
 	edges := s.power.Edges()
-	segErrs := make([]error, len(s.segments))
 	s.pool.ForEach(len(s.segments), func(k int) {
 		e := edges[k]
 		j := s.power.CurrentDensity(sign * s.sol.EdgeI[k])
@@ -351,14 +339,8 @@ func (s *Simulator) stageWearout() error {
 		if t := s.temps[e.B]; t > segTemp {
 			segTemp = t
 		}
-		segErrs[k] = s.segments[k].StepUnder(engine.Condition{
-			Seconds: cfg.StepSeconds, CurrentDensity: j, Temp: segTemp})
+		s.segments[k].Step(j, segTemp, cfg.StepSeconds)
 	})
-	for _, err := range segErrs {
-		if err != nil {
-			return err
-		}
-	}
 	return nil
 }
 

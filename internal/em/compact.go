@@ -6,21 +6,19 @@ import (
 	"math"
 )
 
-// Compact codec for Reduced segments. The gob form stores the full
-// ReducedParams per segment so snapshots are self-describing; a fleet
-// checkpoint holds many segments whose params the chip spec already pins,
-// so the compact form is a fixed 60-byte frame of the mutable state only:
-// magic, nucleation progress, broken flag, then per void end an open flag
-// and the three lengths.
+// Snapshot codec for Reduced segments. A fleet checkpoint holds many
+// segments whose params the chip spec already pins, so a snapshot is a
+// fixed 60-byte frame of the mutable state only: magic, nucleation
+// progress, broken flag, then per void end an open flag and the three
+// lengths.
 
 const compactReducedMagic = 'E'
 
 const compactReducedSize = 1 + 8 + 1 + 2*(1+3*8)
 
-// SnapshotCompact serialises the segment's mutable state in the compact
-// fleet framing. Restore with RestoreCompact on a segment built from the
-// same ReducedParams.
-func (r *Reduced) SnapshotCompact() []byte {
+// Snapshot serialises the segment's mutable state. Restore it with Restore
+// on a segment built from the same ReducedParams.
+func (r *Reduced) Snapshot() []byte {
 	buf := make([]byte, 0, compactReducedSize)
 	buf = append(buf, compactReducedMagic)
 	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(r.progress))
@@ -34,14 +32,17 @@ func (r *Reduced) SnapshotCompact() []byte {
 	return buf
 }
 
-// RestoreCompact rewinds the segment from a SnapshotCompact payload,
-// keeping its parameters.
-func (r *Reduced) RestoreCompact(data []byte) error {
+// Restore rewinds the segment from a Snapshot payload, keeping its
+// parameters. A rejected payload leaves the segment untouched.
+func (r *Reduced) Restore(data []byte) error {
 	if len(data) != compactReducedSize || data[0] != compactReducedMagic {
-		return fmt.Errorf("em: restore compact: payload %dB with magic %#x, want %dB frame",
+		return fmt.Errorf("em: restore: payload %dB with magic %#x, want %dB frame",
 			len(data), firstByte(data), compactReducedSize)
 	}
 	progress := math.Float64frombits(binary.LittleEndian.Uint64(data[1:]))
+	if math.IsNaN(progress) || math.IsInf(progress, 0) {
+		return fmt.Errorf("em: restore: nucleation progress %g not finite", progress)
+	}
 	broken := data[9] != 0
 	var voids [2]voidState
 	off := 10
@@ -50,8 +51,8 @@ func (r *Reduced) RestoreCompact(data []byte) error {
 		lenM := math.Float64frombits(binary.LittleEndian.Uint64(data[off+1:]))
 		maxLenM := math.Float64frombits(binary.LittleEndian.Uint64(data[off+9:]))
 		permM := math.Float64frombits(binary.LittleEndian.Uint64(data[off+17:]))
-		if lenM < 0 {
-			return fmt.Errorf("em: restore compact: negative void length at end %d", i)
+		if !validLength(lenM) || !validLength(maxLenM) || !validLength(permM) {
+			return fmt.Errorf("em: restore: invalid void lengths %g/%g/%g m at end %d", lenM, maxLenM, permM, i)
 		}
 		voids[i] = voidState{open: open, lenM: lenM, maxLenM: maxLenM, permM: permM}
 		off += 25
@@ -61,6 +62,9 @@ func (r *Reduced) RestoreCompact(data []byte) error {
 	r.voids = voids
 	return nil
 }
+
+// validLength reports whether v is a finite, non-negative length.
+func validLength(v float64) bool { return v >= 0 && !math.IsInf(v, 1) }
 
 func boolByte(b bool) byte {
 	if b {

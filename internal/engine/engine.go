@@ -1,48 +1,10 @@
 // Package engine is the reusable simulation substrate underneath the
-// system-level Deep Healing scheduler: a small Component contract for the
-// physical models (BTI devices, EM segments, thermal and power grids,
-// sensors), a bounded worker pool whose sharded stepping is bit-identical
-// to a serial loop, a staged per-step pipeline with wall-time and progress
-// instrumentation, and a versioned whole-system snapshot for
-// checkpoint/resume. The engine knows nothing about scheduling policies or
-// the paper's experiments — it only moves components through time.
+// system-level Deep Healing scheduler: a bounded worker pool whose sharded
+// stepping is bit-identical to a serial loop, a staged per-step pipeline
+// with wall-time and progress instrumentation, and a versioned
+// whole-system snapshot container for checkpoint/resume. The physical
+// models (BTI devices, EM segments, thermal and power grids, sensors) each
+// serialise their own state; the container only frames the payloads. The
+// engine knows nothing about scheduling policies or the paper's
+// experiments.
 package engine
-
-import "deepheal/internal/units"
-
-// Condition is the generic operating condition one engine step applies to a
-// component. Components read only the fields relevant to their physics and
-// ignore the rest.
-type Condition struct {
-	// Seconds is the phase duration.
-	Seconds float64
-	// VoltageV is the gate/bias voltage seen by a BTI device.
-	VoltageV float64
-	// Temp is the component-local temperature.
-	Temp units.Temperature
-	// CurrentDensity is the signed current density through an EM segment.
-	CurrentDensity units.CurrentDensity
-	// Power is the per-tile power map driving a thermal grid (watts).
-	Power []float64
-	// Load is the per-node load-current map driving a power grid (amps).
-	Load []float64
-}
-
-// Component is the engine's contract with every simulated physical model.
-// A component owns its mutable state, advances it under a Condition, and can
-// serialise/restore that state for whole-system checkpointing.
-//
-// StepUnder must be deterministic: the same state and condition always
-// produce the same next state, so the engine may shard independent
-// components across workers with bit-identical results to a serial loop.
-type Component interface {
-	// StepUnder advances the component by c.Seconds under condition c.
-	StepUnder(c Condition) error
-	// Snapshot serialises the component's mutable state.
-	Snapshot() ([]byte, error)
-	// Restore rewinds the component to a Snapshot taken from a compatible
-	// component (same model parameters and dimensions).
-	Restore(data []byte) error
-	// Validate reports whether the component's configuration is usable.
-	Validate() error
-}

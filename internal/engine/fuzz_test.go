@@ -10,36 +10,31 @@ import (
 )
 
 // FuzzDecodeSystemSnapshot feeds arbitrary bytes to the snapshot decoder.
-// It must never panic, and whatever it accepts must re-encode to a compact
-// form that decodes to the same snapshot and re-encodes to the same bytes.
+// It must never panic, and whatever it accepts must re-encode to a form
+// that decodes to the same snapshot and re-encodes to the same bytes.
 func FuzzDecodeSystemSnapshot(f *testing.F) {
-	compact := func(step int, comps map[string][]byte) []byte {
+	encode := func(step int, comps map[string][]byte) []byte {
 		s := engine.NewSystemSnapshot(step)
 		for name, data := range comps {
 			if err := s.AddBytes(name, data); err != nil {
 				f.Fatal(err)
 			}
 		}
-		enc, err := s.EncodeCompact()
+		enc, err := s.Encode()
 		if err != nil {
 			f.Fatal(err)
 		}
 		return enc
 	}
-	roundTrip := compact(42, map[string][]byte{
+	roundTrip := encode(42, map[string][]byte{
 		"bti/core/0": bytes.Repeat([]byte{1, 2, 3, 4}, 64),
 		"bti/core/1": {},
 		"core/sim":   []byte("gob payload here"),
 	})
 	f.Add(roundTrip)
 	f.Add(roundTrip[:len(roundTrip)-3])
-	f.Add(compact(7, map[string][]byte{"z": []byte("z-payload"), "a": []byte("a-payload")}))
+	f.Add(encode(7, map[string][]byte{"z": []byte("z-payload"), "a": []byte("a-payload")}))
 	f.Add([]byte{0x00, 'D', 'H', 'C', 0xff, 0xff})
-	gobForm, err := engine.NewSystemSnapshot(3).Encode()
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(gobForm)
 
 	// 3x3 is the smallest die that builds (a 2x2 PDN mesh is all pads).
 	cfg := core.ConfigForGrid(3, 3)
@@ -52,18 +47,19 @@ func FuzzDecodeSystemSnapshot(f *testing.F) {
 	if err := sim.RunSteps(context.Background(), 10); err != nil {
 		f.Fatal(err)
 	}
-	chip, err := sim.SnapshotCompact()
+	chip, err := sim.Snapshot()
 	if err != nil {
 		f.Fatal(err)
 	}
 	f.Add(chip)
+	f.Add(chip[:len(chip)/2])
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		snap, err := engine.DecodeSystemSnapshot(data)
 		if err != nil {
 			return
 		}
-		enc, err := snap.EncodeCompact()
+		enc, err := snap.Encode()
 		if err != nil {
 			t.Fatalf("decoded snapshot does not re-encode: %v", err)
 		}
@@ -80,12 +76,12 @@ func FuzzDecodeSystemSnapshot(f *testing.F) {
 				t.Fatalf("round trip changed component %q", name)
 			}
 		}
-		enc2, err := again.EncodeCompact()
+		enc2, err := again.Encode()
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(enc, enc2) {
-			t.Fatal("compact encoding is not a fixed point")
+			t.Fatal("encoding is not a fixed point")
 		}
 	})
 }

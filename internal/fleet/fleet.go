@@ -373,7 +373,7 @@ func (m *Manager) suspendLocked(c *chip) error {
 	if c.sim == nil {
 		return nil
 	}
-	blob, err := c.sim.SnapshotCompact()
+	blob, err := c.sim.Snapshot()
 	if err != nil {
 		return fmt.Errorf("fleet: suspend chip %q: %w", c.spec.ID, err)
 	}
@@ -458,7 +458,7 @@ func (m *Manager) UpdateWorkload(id string, w WorkloadSpec) (ChipStatus, error) 
 	}
 	blob := c.snap
 	if c.sim != nil {
-		if blob, err = c.sim.SnapshotCompact(); err != nil {
+		if blob, err = c.sim.Snapshot(); err != nil {
 			return ChipStatus{}, err
 		}
 	}
@@ -544,7 +544,7 @@ func (m *Manager) Checkpoint() ([]byte, error) {
 		c.mu.Lock()
 		spec, state, status := c.spec, c.snap, c.status
 		if c.sim != nil {
-			state, err = c.sim.SnapshotCompact()
+			state, err = c.sim.Snapshot()
 		}
 		c.mu.Unlock()
 		if err != nil {
@@ -568,7 +568,7 @@ func (m *Manager) Checkpoint() ([]byte, error) {
 			}
 		}
 	}
-	return snap.EncodeCompact()
+	return snap.Encode()
 }
 
 // Restore loads a Checkpoint into an empty manager and rehydrates every
@@ -592,6 +592,13 @@ func (m *Manager) Restore(data []byte) error {
 	}
 	if meta.Version != fleetCheckpointVersion {
 		return fmt.Errorf("fleet: checkpoint version %d, this build reads %d", meta.Version, fleetCheckpointVersion)
+	}
+	seen := make(map[string]bool, len(meta.IDs))
+	for _, id := range meta.IDs {
+		if seen[id] {
+			return fmt.Errorf("fleet: checkpoint lists chip %q twice", id)
+		}
+		seen[id] = true
 	}
 	for _, id := range meta.IDs {
 		specJSON, err := snap.Bytes(snapChipSpec(id))

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"deepheal/internal/bti"
+	"deepheal/internal/engine"
 )
 
 func ctx() context.Context { return context.Background() }
@@ -291,6 +292,48 @@ func TestCheckpointRestore(t *testing.T) {
 
 // TestCheckpointOfSuspendedChips covers the suspended path: a checkpoint
 // taken while chips are evicted must restore just as faithfully.
+// TestRestoreRejectsDuplicateIDs checks a checkpoint whose meta lists one
+// chip twice is refused up front, leaving the manager empty and usable.
+func TestRestoreRejectsDuplicateIDs(t *testing.T) {
+	m := NewManager(Options{Workers: 1})
+	defer m.Close()
+	if _, err := m.Register(testSpec("a")); err != nil {
+		t.Fatal(err)
+	}
+	blob, err := m.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := engine.DecodeSystemSnapshot(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta, err := json.Marshal(fleetMeta{Version: fleetCheckpointVersion, IDs: []string{"a", "a"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap.Components[snapMeta] = meta
+	dup, err := snap.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	re := NewManager(Options{Workers: 1})
+	defer re.Close()
+	if err := re.Restore(dup); err == nil {
+		t.Fatalf("checkpoint listing chip \"a\" twice restored with %d chips", re.Len())
+	}
+	if re.Len() != 0 {
+		t.Fatalf("rejected restore left %d chips behind", re.Len())
+	}
+	if err := re.Restore(blob); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := re.Checkpoint(); err != nil {
+		t.Errorf("checkpoint after restore: %v", err)
+	}
+}
+
 func TestCheckpointOfSuspendedChips(t *testing.T) {
 	m := NewManager(Options{Workers: 1, MaxResident: 1})
 	defer m.Close()

@@ -9,15 +9,15 @@ func TestCompactSnapshotRoundTrip(t *testing.T) {
 	s.IntN(5)
 	s.Perm(4)
 	s.Split(2)
-	data := s.SnapshotCompact()
+	data := s.Snapshot()
 	want := s.Normal(0, 1)
 
 	r := New(0)
-	if err := r.RestoreCompact(data); err != nil {
+	if err := r.Restore(data); err != nil {
 		t.Fatal(err)
 	}
 	if got := r.Normal(0, 1); got != want {
-		t.Errorf("restored compact stream drew %g, want %g", got, want)
+		t.Errorf("restored stream drew %g, want %g", got, want)
 	}
 }
 
@@ -26,22 +26,22 @@ func TestCompactSnapshotConstantSizeForRegularStream(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		s.Normal(0, 1)
 	}
-	short := len(s.SnapshotCompact())
+	short := len(s.Snapshot())
 	for i := 0; i < 100000; i++ {
 		s.Normal(0, 1)
 	}
-	long := len(s.SnapshotCompact())
+	long := len(s.Snapshot())
 	// A single-kind stream is one journal run; only the count varint grows.
 	if long > short+8 {
-		t.Errorf("compact snapshot grew from %dB to %dB over a regular stream", short, long)
+		t.Errorf("snapshot grew from %dB to %dB over a regular stream", short, long)
 	}
 }
 
 func TestCompactRestoreRejectsGarbage(t *testing.T) {
-	for _, data := range [][]byte{nil, {}, []byte("junk"), {compactMagic}, {compactMagic, 0x02, 0xff}} {
+	for _, data := range [][]byte{nil, {}, []byte("junk"), {snapshotMagic}, {snapshotMagic, 0x02, 0xff}} {
 		s := New(0)
-		if err := s.RestoreCompact(data); err == nil {
-			t.Errorf("garbage %v accepted as compact snapshot", data)
+		if err := s.Restore(data); err == nil {
+			t.Errorf("garbage %v accepted as snapshot", data)
 		}
 	}
 }

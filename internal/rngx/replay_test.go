@@ -96,12 +96,12 @@ func TestReplayContinuesPrefix(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			twin := New(seed)
 			drawScript(twin, tc.twinLen)
-			data := twin.SnapshotCompact()
+			data := twin.Snapshot()
 
 			recv := New(tc.seed)
 			tc.prefix(recv)
 			before := recv.rng
-			if err := recv.RestoreCompact(data); err != nil {
+			if err := recv.Restore(data); err != nil {
 				t.Fatal(err)
 			}
 			if fellBack := recv.rng != before; fellBack != tc.fallback {
@@ -112,29 +112,10 @@ func TestReplayContinuesPrefix(t *testing.T) {
 	}
 }
 
-func TestReplayGobRestoreContinuesPrefix(t *testing.T) {
-	twin := New(3)
-	drawScript(twin, scriptLen())
-	data, err := twin.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	recv := New(3)
-	drawScript(recv, 10)
-	before := recv.rng
-	if err := recv.Restore(data); err != nil {
-		t.Fatal(err)
-	}
-	if recv.rng != before {
-		t.Error("gob restore of a prefix journal reseeded the generator")
-	}
-	assertSameContinuation(t, recv, twin)
-}
-
-// compactPayload frames runs the way SnapshotCompact does, so a test can
+// journalPayload frames runs the way Snapshot does, so a test can
 // hand-craft journals no Source would write.
-func compactPayload(seed int64, runs []opRun) []byte {
-	buf := []byte{compactMagic}
+func journalPayload(seed int64, runs []opRun) []byte {
+	buf := []byte{snapshotMagic}
 	buf = binary.AppendVarint(buf, seed)
 	buf = binary.AppendUvarint(buf, uint64(len(runs)))
 	for _, r := range runs {
@@ -161,7 +142,7 @@ func TestReplayRejectsBadJournalUntouched(t *testing.T) {
 			recv.Float64()
 			untouched.Float64()
 			untouched.Float64()
-			if err := recv.RestoreCompact(compactPayload(seed, []opRun{valid, bad})); err == nil {
+			if err := recv.Restore(journalPayload(seed, []opRun{valid, bad})); err == nil {
 				t.Fatal("bad journal accepted")
 			}
 			assertSameContinuation(t, recv, untouched)

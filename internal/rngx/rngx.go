@@ -6,8 +6,6 @@
 package rngx
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"math"
 	"math/rand"
@@ -116,23 +114,6 @@ func (s *Source) Perm(n int) []int {
 // Bool draws true with probability p.
 func (s *Source) Bool(p float64) bool { return s.Float64() < p }
 
-// sourceSnapshot is the serialised form of a Source: the original seed plus
-// the run-length-encoded journal of draws made since creation.
-type sourceSnapshot struct {
-	Seed int64
-	Runs []opRun
-}
-
-// Snapshot serialises the stream state. A restored Source continues the
-// exact sequence the original would have produced.
-func (s *Source) Snapshot() ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(sourceSnapshot{Seed: s.seed, Runs: s.journal}); err != nil {
-		return nil, fmt.Errorf("rngx: snapshot: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
 // validate rejects a journal that no sequence of draws could have produced.
 func validate(runs []opRun) error {
 	for i, r := range runs {
@@ -234,23 +215,4 @@ func (s *Source) replay(seed int64, runs []opRun) error {
 	s.seed = seed
 	s.journal = runs
 	return nil
-}
-
-// Restore moves the receiver to the snapshotted stream position by replaying
-// the recorded draws (see replay).
-func (s *Source) Restore(data []byte) error {
-	var snap sourceSnapshot
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&snap); err != nil {
-		return fmt.Errorf("rngx: restore: %w", err)
-	}
-	return s.replay(snap.Seed, snap.Runs)
-}
-
-// RestoreSource rebuilds a Source from a Snapshot.
-func RestoreSource(data []byte) (*Source, error) {
-	s := New(0)
-	if err := s.Restore(data); err != nil {
-		return nil, err
-	}
-	return s, nil
 }

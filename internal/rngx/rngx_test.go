@@ -139,12 +139,8 @@ func TestSnapshotRestoreContinuesSequence(t *testing.T) {
 	s.LogNormal(0, 0.5)
 	s.Uniform(1, 2)
 	s.Bool(0.5)
-	snap, err := s.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := RestoreSource(snap)
-	if err != nil {
+	r := New(0)
+	if err := r.Restore(s.Snapshot()); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 50; i++ {
@@ -162,10 +158,7 @@ func TestSnapshotRestoreInPlace(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		s.Normal(0, 1)
 	}
-	snap, err := s.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
+	snap := s.Snapshot()
 	want := s.Float64()
 	other := New(999) // differently seeded and positioned
 	other.IntN(4)
@@ -180,13 +173,10 @@ func TestSnapshotRestoreInPlace(t *testing.T) {
 func TestSnapshotSplitChildrenReproducible(t *testing.T) {
 	s := New(12)
 	s.Float64()
-	snap, err := s.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
+	snap := s.Snapshot()
 	wantChild := s.Split(5).Float64()
-	r, err := RestoreSource(snap)
-	if err != nil {
+	r := New(0)
+	if err := r.Restore(snap); err != nil {
 		t.Fatal(err)
 	}
 	if got := r.Split(5).Float64(); got != wantChild {
@@ -194,10 +184,19 @@ func TestSnapshotSplitChildrenReproducible(t *testing.T) {
 	}
 }
 
+// TestRestoreRejectsGarbage checks a rejected payload leaves the stream
+// where it was.
 func TestRestoreRejectsGarbage(t *testing.T) {
-	if _, err := RestoreSource([]byte("junk")); err == nil {
-		t.Error("garbage accepted as rng snapshot")
+	s, untouched := New(4), New(4)
+	s.Normal(0, 1)
+	untouched.Normal(0, 1)
+	good := s.Snapshot()
+	for _, junk := range [][]byte{[]byte("junk"), good[:len(good)-1], append(good, 0)} {
+		if err := s.Restore(junk); err == nil {
+			t.Errorf("garbage %v accepted as rng snapshot", junk)
+		}
 	}
+	assertSameContinuation(t, s, untouched)
 }
 
 func TestIntNRange(t *testing.T) {

@@ -6,21 +6,22 @@ import (
 	"math"
 )
 
-// Compact codecs. A sensor's mutable state is just its noise stream
-// position; the config rides along as fixed-width floats for the same
-// compatibility check the gob form performs, without gob's type-descriptor
-// overhead. The rngx compact form keeps the journal run-length encoded, so
-// a sensor that draws once per step serialises to a few tens of bytes
-// regardless of simulation age.
+// Snapshot codecs. Sensors do not evolve with time, but their noise streams
+// are real state: a resumed simulation must read the same noise sequence
+// the uninterrupted one would. A sensor's mutable state is just its noise
+// stream position; the config rides along as fixed-width floats and is
+// validated on restore. The rngx snapshot keeps the journal run-length
+// encoded, so a sensor that draws once per step serialises to a few tens of
+// bytes regardless of simulation age.
 
 const (
 	compactROMagic = 'S'
 	compactEMMagic = 'T'
 )
 
-// SnapshotCompact serialises the RO sensor in the compact fleet framing.
-func (s *ROSensor) SnapshotCompact() []byte {
-	rng := s.rng.SnapshotCompact()
+// Snapshot serialises the RO sensor's config and noise stream position.
+func (s *ROSensor) Snapshot() []byte {
+	rng := s.rng.Snapshot()
 	buf := make([]byte, 0, 1+4*8+binary.MaxVarintLen64+len(rng))
 	buf = append(buf, compactROMagic)
 	for _, v := range []float64{s.cfg.FreshHz, s.cfg.SensPerV, s.cfg.NoiseSigmaHz, s.cfg.CounterHz} {
@@ -30,9 +31,9 @@ func (s *ROSensor) SnapshotCompact() []byte {
 	return append(buf, rng...)
 }
 
-// RestoreCompact rewinds the RO sensor from a SnapshotCompact payload.
-func (s *ROSensor) RestoreCompact(data []byte) error {
-	cfgFloats, rng, err := splitCompactSensor(data, compactROMagic, "ro")
+// Restore rewinds the RO sensor from a Snapshot payload.
+func (s *ROSensor) Restore(data []byte) error {
+	cfgFloats, rng, err := splitSensor(data, compactROMagic, "ro")
 	if err != nil {
 		return err
 	}
@@ -43,18 +44,18 @@ func (s *ROSensor) RestoreCompact(data []byte) error {
 		CounterHz:    cfgFloats[3],
 	}
 	if err := cfg.Validate(); err != nil {
-		return fmt.Errorf("sensor: ro restore compact: %w", err)
+		return fmt.Errorf("sensor: ro restore: %w", err)
 	}
-	if err := s.rng.RestoreCompact(rng); err != nil {
-		return fmt.Errorf("sensor: ro restore compact: %w", err)
+	if err := s.rng.Restore(rng); err != nil {
+		return fmt.Errorf("sensor: ro restore: %w", err)
 	}
 	s.cfg = cfg
 	return nil
 }
 
-// SnapshotCompact serialises the EM sensor in the compact fleet framing.
-func (s *EMSensor) SnapshotCompact() []byte {
-	rng := s.rng.SnapshotCompact()
+// Snapshot serialises the EM sensor's config and noise stream position.
+func (s *EMSensor) Snapshot() []byte {
+	rng := s.rng.Snapshot()
 	buf := make([]byte, 0, 1+4*8+binary.MaxVarintLen64+len(rng))
 	buf = append(buf, compactEMMagic)
 	for _, v := range []float64{s.cfg.RefOhm, s.cfg.NoiseSigmaFrac, 0, 0} {
@@ -64,38 +65,41 @@ func (s *EMSensor) SnapshotCompact() []byte {
 	return append(buf, rng...)
 }
 
-// RestoreCompact rewinds the EM sensor from a SnapshotCompact payload.
-func (s *EMSensor) RestoreCompact(data []byte) error {
-	cfgFloats, rng, err := splitCompactSensor(data, compactEMMagic, "em")
+// Restore rewinds the EM sensor from a Snapshot payload.
+func (s *EMSensor) Restore(data []byte) error {
+	cfgFloats, rng, err := splitSensor(data, compactEMMagic, "em")
 	if err != nil {
 		return err
 	}
 	cfg := EMConfig{RefOhm: cfgFloats[0], NoiseSigmaFrac: cfgFloats[1]}
 	if err := cfg.Validate(); err != nil {
-		return fmt.Errorf("sensor: em restore compact: %w", err)
+		return fmt.Errorf("sensor: em restore: %w", err)
 	}
-	if err := s.rng.RestoreCompact(rng); err != nil {
-		return fmt.Errorf("sensor: em restore compact: %w", err)
+	if err := s.rng.Restore(rng); err != nil {
+		return fmt.Errorf("sensor: em restore: %w", err)
 	}
 	s.cfg = cfg
 	return nil
 }
 
-// splitCompactSensor validates the shared framing: magic, four config
+// splitSensor validates the shared framing: magic, four config
 // floats, then a length-prefixed rng payload.
-func splitCompactSensor(data []byte, magic byte, kind string) ([4]float64, []byte, error) {
+func splitSensor(data []byte, magic byte, kind string) ([4]float64, []byte, error) {
 	var cfg [4]float64
 	if len(data) < 1+4*8+1 || data[0] != magic {
-		return cfg, nil, fmt.Errorf("sensor: %s restore compact: bad frame", kind)
+		return cfg, nil, fmt.Errorf("sensor: %s restore: bad frame", kind)
 	}
 	rest := data[1:]
 	for i := range cfg {
 		cfg[i] = math.Float64frombits(binary.LittleEndian.Uint64(rest))
+		if math.IsNaN(cfg[i]) || math.IsInf(cfg[i], 0) {
+			return cfg, nil, fmt.Errorf("sensor: %s restore: config value %g not finite", kind, cfg[i])
+		}
 		rest = rest[8:]
 	}
 	rngLen, n := binary.Uvarint(rest)
 	if n <= 0 || rngLen != uint64(len(rest[n:])) {
-		return cfg, nil, fmt.Errorf("sensor: %s restore compact: truncated rng payload", kind)
+		return cfg, nil, fmt.Errorf("sensor: %s restore: truncated rng payload", kind)
 	}
 	return cfg, rest[n:], nil
 }

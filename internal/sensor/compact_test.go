@@ -1,6 +1,8 @@
 package sensor
 
 import (
+	"encoding/binary"
+	"math"
 	"testing"
 
 	"deepheal/internal/rngx"
@@ -14,14 +16,14 @@ func TestROCompactRoundTrip(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		s.Read(0.005)
 	}
-	data := s.SnapshotCompact()
+	data := s.Snapshot()
 	want := s.Read(0.005)
 
 	r, err := NewRO(DefaultROConfig(), rngx.New(99))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r.RestoreCompact(data); err != nil {
+	if err := r.Restore(data); err != nil {
 		t.Fatal(err)
 	}
 	if got := r.Read(0.005); got != want {
@@ -29,7 +31,7 @@ func TestROCompactRoundTrip(t *testing.T) {
 	}
 	// The journal is one RLE run; size must not scale with read count.
 	if len(data) > 128 {
-		t.Errorf("compact RO snapshot is %dB after 500 reads; journal not run-length encoded?", len(data))
+		t.Errorf("RO snapshot is %dB after 500 reads; journal not run-length encoded?", len(data))
 	}
 }
 
@@ -43,7 +45,7 @@ func TestEMCompactRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	data := s.SnapshotCompact()
+	data := s.Snapshot()
 	want, err := s.Read(73.0)
 	if err != nil {
 		t.Fatal(err)
@@ -53,7 +55,7 @@ func TestEMCompactRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r.RestoreCompact(data); err != nil {
+	if err := r.Restore(data); err != nil {
 		t.Fatal(err)
 	}
 	got, err := r.Read(73.0)
@@ -70,10 +72,72 @@ func TestSensorCompactRejectsGarbage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	good := ro.SnapshotCompact()
-	for _, junk := range [][]byte{nil, {}, good[:10], append([]byte{0xff}, good[1:]...)} {
-		if err := ro.RestoreCompact(junk); err == nil {
+	good := ro.Snapshot()
+	nanCfg := append([]byte(nil), good...)
+	binary.LittleEndian.PutUint64(nanCfg[1:], math.Float64bits(math.NaN())) // FreshHz
+	infCfg := append([]byte(nil), good...)
+	binary.LittleEndian.PutUint64(infCfg[17:], math.Float64bits(math.Inf(1))) // NoiseSigmaHz
+	for _, junk := range [][]byte{nil, {}, good[:10], append([]byte{0xff}, good[1:]...), nanCfg, infCfg} {
+		if err := ro.Restore(junk); err == nil {
 			t.Errorf("garbage of %d bytes accepted by RO sensor", len(junk))
+		}
+	}
+}
+
+// TestSensorRestoreContinuesNoiseStream checks a restored sensor reads the
+// same noise sequence as the uninterrupted one, even when it was built
+// with a different seed.
+func TestSensorRestoreContinuesNoiseStream(t *testing.T) {
+	cfg := DefaultROConfig()
+	ro, err := NewRO(cfg, rngx.New(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		ro.Read(0.01)
+	}
+	ro2, err := NewRO(cfg, rngx.New(99))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ro2.Restore(ro.Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 8; i++ {
+		want := ro.Read(0.02)
+		got := ro2.Read(0.02)
+		if got != want {
+			t.Fatalf("read %d: restored sensor %+v, original %+v", i, got, want)
+		}
+	}
+
+	em1, err := NewEM(DefaultEMConfig(), rngx.New(11))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		if _, err := em1.Read(73.0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	em2, err := NewEM(DefaultEMConfig(), rngx.New(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := em2.Restore(em1.Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 8; i++ {
+		want, err := em1.Read(73.4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := em2.Read(73.4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Fatalf("read %d: restored EM sensor %+v, original %+v", i, got, want)
 		}
 	}
 }
