@@ -14,10 +14,11 @@ import (
 // runBench executes the tracked benchmark set and writes the trajectory
 // report. With -baseline it also gates: any tracked benchmark that slowed
 // past -factor fails the command, which is how CI pins the perf work in this
-// repo to the committed BENCH_PR2.json.
+// repo to the committed BENCH_PR9.json. The default report name is not a
+// committed file, so a local run cannot overwrite a baseline.
 func runBench(args []string) error {
 	fs := flag.NewFlagSet("deepheal bench", flag.ContinueOnError)
-	out := fs.String("o", "BENCH_PR2.json", "write the JSON report here (empty = don't write)")
+	out := fs.String("o", "bench.json", "write the JSON report here (empty = don't write)")
 	baseline := fs.String("baseline", "", "compare against this JSON report and fail on regressions")
 	factor := fs.Float64("factor", 2, "allowed ns/op growth factor vs the baseline")
 	minNs := fs.Float64("min-ns", bench.MinGateNs, "skip gating benchmarks with baselines under this many ns/op (timer noise)")

@@ -32,7 +32,7 @@
 // The sim subcommand drives a single engine simulation with progress
 // reporting and checkpoint/resume; see `deepheal sim -h`. The bench
 // subcommand records the benchmark trajectory (see `deepheal bench -h`);
-// CI gates it against the committed BENCH_PR7.json. The serve subcommand
+// CI gates it against the committed BENCH_PR9.json. The serve subcommand
 // hosts the fleet service (see `deepheal serve -h`): on SIGTERM it drains
 // HTTP, writes the fleet checkpoint and exits 0.
 package main

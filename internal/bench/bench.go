@@ -1,6 +1,6 @@
 // Package bench runs the repository's Go benchmarks and turns their output
 // into a machine-readable trajectory: one JSON report per run, comparable
-// across commits. The committed baseline (BENCH_PR7.json at the repo root)
+// across commits. The committed baseline (BENCH_PR9.json at the repo root)
 // plus the CI regression gate keep the perf work in this tree honest — a
 // change that slows a tracked benchmark past the allowed factor fails the
 // build instead of silently rotting.

@@ -125,19 +125,3 @@ func TestDeviceCompactRejectsMismatchAndGarbage(t *testing.T) {
 		t.Error("float32 NaN occupancy accepted")
 	}
 }
-
-func TestShuffleBytesRoundTrip(t *testing.T) {
-	src := make([]byte, 8*13)
-	for i := range src {
-		src[i] = byte(i * 37)
-	}
-	shuf := make([]byte, len(src))
-	back := make([]byte, len(src))
-	shuffleBytes(shuf, src, 8)
-	unshuffleBytes(back, shuf, 8)
-	for i := range src {
-		if back[i] != src[i] {
-			t.Fatalf("byte %d: %d != %d", i, back[i], src[i])
-		}
-	}
-}

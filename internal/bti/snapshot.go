@@ -9,14 +9,10 @@ import (
 // Snapshot codec. A fleet checkpoint holds thousands of devices whose
 // Params the chip spec already pins, so a snapshot stores only the mutable
 // state: grid dimensions (as a compatibility check), the three
-// permanent-state floats, and the raw occupancy. The occupancy bytes are
-// transposed byte-plane-wise (HDF5-style shuffle) so the slowly-varying
-// high-order exponent/sign bytes of neighbouring cells become long runs
-// that the container's DEFLATE layer can squeeze; the transform is exactly
-// invertible, keeping restores bit-identical.
+// permanent-state floats, and the raw occupancy as little-endian floats.
 
-// deviceMagic tags the device framing with float64 occupancy planes;
-// deviceMagic32 tags the float32 variant (4-byte planes, half the
+// deviceMagic tags the device framing with float64 occupancy;
+// deviceMagic32 tags the float32 variant (4-byte cells, half the
 // payload). The magic doubles as the storage-mode check: a restore
 // requires the payload's mode to match the receiving device's.
 const (
@@ -24,30 +20,9 @@ const (
 	deviceMagic32 = 'b'
 )
 
-// shuffleBytes transposes an n×stride byte matrix into dst: plane b of the
-// output holds byte b of every element.
-func shuffleBytes(dst, src []byte, stride int) {
-	n := len(src) / stride
-	for i := 0; i < n; i++ {
-		for b := 0; b < stride; b++ {
-			dst[b*n+i] = src[i*stride+b]
-		}
-	}
-}
-
-// unshuffleBytes inverts shuffleBytes.
-func unshuffleBytes(dst, src []byte, stride int) {
-	n := len(src) / stride
-	for i := 0; i < n; i++ {
-		for b := 0; b < stride; b++ {
-			dst[i*stride+b] = src[b*n+i]
-		}
-	}
-}
-
 // Snapshot serialises the device's mutable state. Restore it with Restore
 // on a device built from the same Params and storage mode. Float32 devices
-// emit 4-byte planes, halving the dominant payload.
+// emit 4-byte cells, halving the dominant payload.
 func (d *Device) Snapshot() []byte {
 	stride, cells := 8, len(d.occ)
 	magic := byte(deviceMagic)
@@ -62,19 +37,16 @@ func (d *Device) Snapshot() []byte {
 	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(d.precursorV))
 	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(d.lockedV))
 	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(d.age))
-	raw := make([]byte, stride*cells)
 	if d.occ32 != nil {
-		for i, v := range d.occ32 {
-			binary.LittleEndian.PutUint32(raw[4*i:], math.Float32bits(v))
+		for _, v := range d.occ32 {
+			buf = binary.LittleEndian.AppendUint32(buf, math.Float32bits(v))
 		}
 	} else {
-		for i, v := range d.occ {
-			binary.LittleEndian.PutUint64(raw[8*i:], math.Float64bits(v))
+		for _, v := range d.occ {
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
 		}
 	}
-	shuffled := make([]byte, len(raw))
-	shuffleBytes(shuffled, raw, stride)
-	return append(buf, shuffled...)
+	return buf
 }
 
 // Restore rewinds the receiver from a Snapshot payload taken from a device
@@ -116,26 +88,28 @@ func (d *Device) Restore(data []byte) error {
 	if !finite(precursorV) || !finite(lockedV) || !finite(age) || age < 0 {
 		return fmt.Errorf("bti: restore: invalid permanent state %g/%g V or age %g s", precursorV, lockedV, age)
 	}
-	raw := make([]byte, stride*cells)
-	unshuffleBytes(raw, rest[24:], stride)
+	// Check every cell before writing any, so a rejected payload leaves the
+	// device untouched.
+	raw := rest[24:]
+	for i := 0; i < cells; i++ {
+		var v float64
+		if stride == 4 {
+			v = float64(math.Float32frombits(binary.LittleEndian.Uint32(raw[4*i:])))
+		} else {
+			v = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
+		}
+		if !(v >= 0 && v <= 1) {
+			return fmt.Errorf("bti: restore: occupancy[%d] = %g outside [0,1]", i, v)
+		}
+	}
 	if stride == 4 {
-		occ := make([]float32, cells)
-		for i := range occ {
-			occ[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[4*i:]))
-			if !(occ[i] >= 0 && occ[i] <= 1) {
-				return fmt.Errorf("bti: restore: occupancy[%d] = %g outside [0,1]", i, occ[i])
-			}
+		for i := range d.occ32 {
+			d.occ32[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[4*i:]))
 		}
-		copy(d.occ32, occ)
 	} else {
-		occ := make([]float64, cells)
-		for i := range occ {
-			occ[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
-			if !(occ[i] >= 0 && occ[i] <= 1) {
-				return fmt.Errorf("bti: restore: occupancy[%d] = %g outside [0,1]", i, occ[i])
-			}
+		for i := range d.occ {
+			d.occ[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
 		}
-		copy(d.occ, occ)
 	}
 	d.precursorV = precursorV
 	d.lockedV = lockedV

@@ -6,13 +6,13 @@ import (
 )
 
 // compactSnapshotBudget is the committed byte ceiling for a mature 8x8
-// reference chip's snapshot. Measured at ~97 KB (DEFLATE at BestSpeed; the
-// RLE rng journal keeps it flat with age), the budget adds ~35 % headroom
-// for legitimate format evolution while catching accidental bloat: a
-// change that swaps a component codec for a self-describing one, forgets
-// the byte-plane shuffle, or starts journaling per-draw rng ops again will
-// blow well past it. If you grow the format deliberately, re-measure and
-// move the constant in the same change.
+// reference chip's snapshot. The raw (uncompressed) container measures
+// 127,657 bytes, 112,320 of them BTI occupancy, so the budget leaves about
+// 2.6 % headroom and catches accidental bloat: a change that swaps a
+// component codec for a self-describing one or starts journaling per-draw
+// rng ops again will blow past it. It holds the line the container's
+// compression used to hold; if the raw form cannot fit, compress rather
+// than move the constant.
 const compactSnapshotBudget = 128 << 10
 
 func TestCompactSnapshotWithinBudget(t *testing.T) {
@@ -24,9 +24,8 @@ func TestCompactSnapshotWithinBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sim.Close()
-	// Age the chip first: occupancy grids decompress poorly once populated
-	// and the rng journals have accumulated runs, so this is the snapshot's
-	// steady-state size, not the trivially small fresh one.
+	// Age the chip first: the rng journals accumulate runs and the policy
+	// state fills in, so this is the snapshot's steady-state size.
 	if err := sim.RunSteps(context.Background(), 200); err != nil {
 		t.Fatal(err)
 	}

@@ -1,11 +1,12 @@
 package core
 
 import (
-	"bytes"
-	"encoding/gob"
+	"encoding/binary"
 	"fmt"
+	"math"
 	"time"
 
+	"deepheal/internal/codec"
 	"deepheal/internal/engine"
 )
 
@@ -15,7 +16,7 @@ import (
 type StatefulPolicy interface {
 	Policy
 	// SnapshotState serialises the policy's planning state.
-	SnapshotState() ([]byte, error)
+	SnapshotState() []byte
 	// RestoreState rewinds the policy to a SnapshotState.
 	RestoreState(data []byte) error
 }
@@ -34,7 +35,7 @@ type simState struct {
 	LastTemps     []float64
 	SensedShift   []float64
 	SensedEMDelta float64
-	PrevModes     []CoreMode
+	PrevModes     []CoreMode // nil before the first step
 	Series        []StepStats
 	DemandedSum   float64
 	DeliveredSum  float64
@@ -42,6 +43,118 @@ type simState struct {
 	Guardband     float64
 	EMNucleated   bool
 	EMFailedStep  int
+}
+
+// simStateMagic leads the core/sim payload.
+const simStateMagic = 'C'
+
+// stepStatsMinSize is the fewest bytes one encoded StepStats takes: two
+// one-byte uvarints, seven floats and a flag.
+const stepStatsMinSize = 2 + 7*8 + 1
+
+// encode frames the state as: magic; uvarint step, rows, cols, horizon and
+// segment count; the length-prefixed policy name and policy state; the lean
+// flag; the per-core temperatures and sensed shifts; the sensed EM delta;
+// the length-prefixed mode bytes; the length-prefixed series; then the
+// report accumulators. An empty policy state or mode list is written as
+// length 0 and decodes as nil, which is what Restore reads as "none".
+func (st *simState) encode() []byte {
+	size := 64 + len(st.PolicyName) + len(st.PolicyState) + 8*(len(st.LastTemps)+len(st.SensedShift)) +
+		len(st.PrevModes) + len(st.Series)*(7*8+1+2*binary.MaxVarintLen64) + 8*binary.MaxVarintLen64
+	buf := make([]byte, 0, size)
+	buf = append(buf, simStateMagic)
+	for _, v := range []int{st.Step, st.Rows, st.Cols, st.Steps, st.Segments} {
+		buf = binary.AppendUvarint(buf, uint64(v))
+	}
+	buf = binary.AppendUvarint(buf, uint64(len(st.PolicyName)))
+	buf = append(buf, st.PolicyName...)
+	buf = binary.AppendUvarint(buf, uint64(len(st.PolicyState)))
+	buf = append(buf, st.PolicyState...)
+	buf = codec.AppendBool(buf, st.Lean)
+	buf = codec.AppendFloats(buf, st.LastTemps)
+	buf = codec.AppendFloats(buf, st.SensedShift)
+	buf = codec.AppendFloat(buf, st.SensedEMDelta)
+	buf = binary.AppendUvarint(buf, uint64(len(st.PrevModes)))
+	for _, m := range st.PrevModes {
+		buf = append(buf, byte(m))
+	}
+	buf = binary.AppendUvarint(buf, uint64(len(st.Series)))
+	for _, x := range st.Series {
+		buf = binary.AppendUvarint(buf, uint64(x.Step))
+		for _, v := range []float64{x.MaxShiftV, x.MeanShiftV, x.WorstDelayNorm, x.EMMaxProgress, x.EMDeltaOhm, x.MaxTempC} {
+			buf = codec.AppendFloat(buf, v)
+		}
+		buf = binary.AppendUvarint(buf, uint64(x.Recovering))
+		buf = codec.AppendBool(buf, x.EMReverse)
+		buf = codec.AppendFloat(buf, x.DeliveredFrac)
+	}
+	buf = codec.AppendFloat(buf, st.DemandedSum)
+	buf = codec.AppendFloat(buf, st.DeliveredSum)
+	buf = binary.AppendUvarint(buf, uint64(st.RecoverySteps))
+	buf = codec.AppendFloat(buf, st.Guardband)
+	buf = codec.AppendBool(buf, st.EMNucleated)
+	return binary.AppendVarint(buf, int64(st.EMFailedStep))
+}
+
+// decodeSimState parses an encode result for a chip with the given number
+// of cores. The per-core slices must match that count; every float must be
+// finite except the delay margins, which reach +Inf once a core's shift
+// eats the whole voltage headroom.
+func decodeSimState(data []byte, cores int) (simState, error) {
+	r := codec.NewReader(data, "core: restore sim state")
+	r.Magic(simStateMagic)
+	st := simState{Step: r.Int(), Rows: r.Int(), Cols: r.Int(), Steps: r.Int(), Segments: r.Int()}
+	st.PolicyName = string(r.Bytes(r.Len(1)))
+	if n := r.Len(1); n > 0 {
+		st.PolicyState = r.Bytes(n)
+	}
+	st.Lean = r.Bool()
+	st.LastTemps = r.Floats(cores)
+	st.SensedShift = r.Floats(cores)
+	st.SensedEMDelta = r.Float()
+	if n := r.Len(1); n > 0 {
+		if n != cores {
+			r.Fail("%d previous modes for %d cores", n, cores)
+		}
+		st.PrevModes = make([]CoreMode, n)
+		for i, b := range r.Bytes(n) {
+			if m := CoreMode(b); m == ModeRun || m == ModeGated || m == ModeRecover {
+				st.PrevModes[i] = m
+			} else {
+				r.Fail("invalid mode %d", b)
+			}
+		}
+	}
+	if n := r.Len(stepStatsMinSize); n > 0 {
+		st.Series = make([]StepStats, n)
+		for i := range st.Series {
+			x := &st.Series[i]
+			x.Step = r.Int()
+			x.MaxShiftV, x.MeanShiftV, x.WorstDelayNorm = r.Float(), r.Float(), margin(r)
+			x.EMMaxProgress, x.EMDeltaOhm, x.MaxTempC = r.Float(), r.Float(), r.Float()
+			x.Recovering = r.Int()
+			x.EMReverse = r.Bool()
+			x.DeliveredFrac = r.Float()
+		}
+	}
+	st.DemandedSum, st.DeliveredSum = r.Float(), r.Float()
+	st.RecoverySteps = r.Int()
+	st.Guardband = margin(r)
+	st.EMNucleated = r.Bool()
+	if st.EMFailedStep = int(r.Varint()); st.EMFailedStep < -1 {
+		r.Fail("EM failure step %d", st.EMFailedStep)
+	}
+	return st, r.Close()
+}
+
+// margin reads a delay margin: a float that may be +Inf but not NaN or
+// -Inf.
+func margin(r *codec.Reader) float64 {
+	v := r.RawFloat()
+	if math.IsNaN(v) || math.IsInf(v, -1) {
+		r.Fail("delay margin %g invalid", v)
+	}
+	return v
 }
 
 // Component names inside the system snapshot.
@@ -70,24 +183,16 @@ func wantSeriesLen(state simState) int {
 // state and the report accumulators — into one versioned blob. It must be
 // taken on a step boundary (never from inside a hook).
 //
-// The numerous BTI, EM and sensor components use their own dense codecs;
-// the grids and the sim state stay gob (one each per chip). The engine
-// container compresses everything with DEFLATE at BestSpeed through a
-// pooled writer, cheap enough to take on every eviction, which is what
-// lets a fleet suspend evicted chips to in-memory blobs. Size is guarded
-// by a regression test against a committed byte budget.
+// Every component, the grids and the sim state included, has its own
+// dense hand-framed codec, and the engine container concatenates them raw:
+// no compression and no self-describing encoding, so a snapshot is cheap
+// enough to take on every eviction, which is what lets a fleet suspend
+// evicted chips to in-memory blobs. Size is guarded by a regression test
+// against a committed byte budget.
 func (s *Simulator) Snapshot() ([]byte, error) {
 	var start time.Time
 	if metCkptSaveSeconds != nil {
 		start = time.Now()
-	}
-	grid, err := s.grid.Snapshot()
-	if err != nil {
-		return nil, err
-	}
-	power, err := s.power.Snapshot()
-	if err != nil {
-		return nil, err
 	}
 	// Component names are distinct by construction.
 	snap := engine.NewSystemSnapshot(s.step)
@@ -101,8 +206,8 @@ func (s *Simulator) Snapshot() ([]byte, error) {
 		snap.Components[snapSegment(k)] = seg.Snapshot()
 	}
 	snap.Components[snapEMSensor] = s.emSensor.Snapshot()
-	snap.Components[snapThermal] = grid
-	snap.Components[snapPDN] = power
+	snap.Components[snapThermal] = s.grid.Snapshot()
+	snap.Components[snapPDN] = s.power.Snapshot()
 
 	state := simState{
 		Step:          s.step,
@@ -125,17 +230,9 @@ func (s *Simulator) Snapshot() ([]byte, error) {
 		EMFailedStep:  s.emFailedStep,
 	}
 	if sp, ok := s.policy.(StatefulPolicy); ok {
-		ps, err := sp.SnapshotState()
-		if err != nil {
-			return nil, fmt.Errorf("core: snapshot policy %q: %w", s.policy.Name(), err)
-		}
-		state.PolicyState = ps
+		state.PolicyState = sp.SnapshotState()
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(state); err != nil {
-		return nil, fmt.Errorf("core: snapshot: %w", err)
-	}
-	snap.Components[snapSim] = buf.Bytes()
+	snap.Components[snapSim] = state.encode()
 	blob, err := snap.Encode()
 	if err != nil {
 		return nil, err
@@ -165,9 +262,9 @@ func (s *Simulator) Restore(data []byte) error {
 	if err != nil {
 		return err
 	}
-	var state simState
-	if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&state); err != nil {
-		return fmt.Errorf("core: restore: %w", err)
+	state, err := decodeSimState(blob, len(s.cores))
+	if err != nil {
+		return err
 	}
 	switch {
 	case state.Rows != s.cfg.Rows || state.Cols != s.cfg.Cols:
@@ -181,12 +278,8 @@ func (s *Simulator) Restore(data []byte) error {
 		return fmt.Errorf("core: restore: snapshot ran policy %q, simulator runs %q", state.PolicyName, s.policy.Name())
 	case state.Lean != s.opts.LeanSeries:
 		return fmt.Errorf("core: restore: snapshot lean-series mode %v, simulator %v", state.Lean, s.opts.LeanSeries)
-	case state.Step < 0 || state.Step > s.cfg.Steps || len(state.Series) != wantSeriesLen(state):
+	case state.Step > s.cfg.Steps || len(state.Series) != wantSeriesLen(state):
 		return fmt.Errorf("core: restore: inconsistent resume point (step %d, %d recorded)", state.Step, len(state.Series))
-	case len(state.LastTemps) != len(s.lastTemps) || len(state.SensedShift) != len(s.sensedShift) ||
-		state.PrevModes != nil && len(state.PrevModes) != len(s.cores):
-		return fmt.Errorf("core: restore: per-core state sized %d/%d/%d for %d cores",
-			len(state.LastTemps), len(state.SensedShift), len(state.PrevModes), len(s.cores))
 	}
 	if state.PolicyState != nil {
 		sp, ok := s.policy.(StatefulPolicy)
@@ -213,8 +306,11 @@ func (s *Simulator) Restore(data []byte) error {
 			return err
 		}
 	}
+	// The sensors are read once when the simulator is built and once per
+	// step after that (never more), which bounds their noise journals.
+	maxReads := int64(state.Step) + 1
 	for i, ro := range s.sensors {
-		if err := restore(snapROSensor(i), ro.Restore); err != nil {
+		if err := restore(snapROSensor(i), func(data []byte) error { return ro.Restore(data, maxReads) }); err != nil {
 			return err
 		}
 	}
@@ -226,7 +322,11 @@ func (s *Simulator) Restore(data []byte) error {
 	for _, c := range []struct {
 		name    string
 		restore func([]byte) error
-	}{{snapEMSensor, s.emSensor.Restore}, {snapThermal, s.grid.Restore}, {snapPDN, s.power.Restore}} {
+	}{
+		{snapEMSensor, func(data []byte) error { return s.emSensor.Restore(data, maxReads) }},
+		{snapThermal, s.grid.Restore},
+		{snapPDN, s.power.Restore},
+	} {
 		if err := restore(c.name, c.restore); err != nil {
 			return err
 		}

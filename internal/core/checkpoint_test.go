@@ -254,7 +254,7 @@ func TestProgressAndStageTimeHooks(t *testing.T) {
 }
 
 func TestRestoreRejectsTruncatedSnapshot(t *testing.T) {
-	// A checkpoint cut short mid-gob (full disk, kill during write) must be
+	// A checkpoint cut short (full disk, kill during write) must be
 	// rejected with an error — never a panic — and leave the simulator
 	// usable, so a campaign can fall back to a fresh start.
 	cfg := testConfig()

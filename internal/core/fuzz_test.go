@@ -1,9 +1,9 @@
 package core
 
 import (
-	"bytes"
 	"context"
-	"encoding/gob"
+	"encoding/binary"
+	"math"
 	"testing"
 
 	"deepheal/internal/engine"
@@ -32,6 +32,36 @@ func leanSim(tb testing.TB, m *Model) *Simulator {
 	return sim
 }
 
+// snapshotCores counts the BTI core components of a decoded snapshot.
+func snapshotCores(snap *engine.SystemSnapshot) int {
+	n := 0
+	for ; ; n++ {
+		if _, ok := snap.Components[snapCore(n)]; !ok {
+			return n
+		}
+	}
+}
+
+// withComponent replaces one component payload of a snapshot, leaving every
+// other component as it was.
+func withComponent(tb testing.TB, blob []byte, name string, edit func([]byte) []byte) []byte {
+	tb.Helper()
+	snap, err := engine.DecodeSystemSnapshot(blob)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	data, err := snap.Bytes(name)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	snap.Components[name] = edit(data)
+	out, err := snap.Encode()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return out
+}
+
 // tamperSimState rewrites the core/sim payload of a snapshot, leaving every
 // other component as it was.
 func tamperSimState(tb testing.TB, blob []byte, mut func(*simState)) []byte {
@@ -40,21 +70,15 @@ func tamperSimState(tb testing.TB, blob []byte, mut func(*simState)) []byte {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	var state simState
-	if err := gob.NewDecoder(bytes.NewReader(snap.Components[snapSim])).Decode(&state); err != nil {
-		tb.Fatal(err)
-	}
-	mut(&state)
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(state); err != nil {
-		tb.Fatal(err)
-	}
-	snap.Components[snapSim] = buf.Bytes()
-	out, err := snap.Encode()
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return out
+	cores := snapshotCores(snap)
+	return withComponent(tb, blob, snapSim, func(data []byte) []byte {
+		state, err := decodeSimState(data, cores)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		mut(&state)
+		return state.encode()
+	})
 }
 
 // maturedSnapshot runs a lean simulator over m for a few steps and
@@ -115,11 +139,8 @@ func TestRestoreRejectsMisSizedPerCoreState(t *testing.T) {
 // is opaque to it, fail the next step with an error instead of a panic.
 func TestRestoredPolicyStateOfWrongSize(t *testing.T) {
 	m := fuzzModel(t)
-	var countdowns bytes.Buffer
-	if err := gob.NewEncoder(&countdowns).Encode([]int{0}); err != nil {
-		t.Fatal(err)
-	}
-	blob := tamperSimState(t, maturedSnapshot(t, m), func(s *simState) { s.PolicyState = countdowns.Bytes() })
+	countdowns := (&DeepHealing{remaining: []int{0}}).SnapshotState()
+	blob := tamperSimState(t, maturedSnapshot(t, m), func(s *simState) { s.PolicyState = countdowns })
 	sim := leanSim(t, m)
 	defer sim.Close()
 	if err := sim.Restore(blob); err != nil {
@@ -141,6 +162,20 @@ func FuzzRestoreSimulator(f *testing.F) {
 		f.Add(blob[:int(float64(len(blob))*frac)])
 	}
 	f.Add(tamperSimState(f, blob, func(s *simState) { s.LastTemps = s.LastTemps[:1] }))
+	// One seed per hand-framed payload: a grid cut short, a grid with a
+	// NaN, a step-0 state with no previous modes, countdowns for another
+	// core count, and a sensor journal past the replay bound.
+	f.Add(withComponent(f, blob, snapThermal, func(d []byte) []byte { return d[:len(d)-3] }))
+	f.Add(withComponent(f, blob, snapPDN, func(d []byte) []byte {
+		d = append([]byte(nil), d...)
+		binary.LittleEndian.PutUint64(d[len(d)-8:], math.Float64bits(math.NaN()))
+		return d
+	}))
+	f.Add(tamperSimState(f, blob, func(s *simState) { s.PrevModes, s.PolicyState = nil, nil }))
+	f.Add(tamperSimState(f, blob, func(s *simState) {
+		s.PolicyState = (&DeepHealing{remaining: []int{1, 0}}).SnapshotState()
+	}))
+	f.Add(withComponent(f, blob, snapROSensor(0), longJournal))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sim := leanSim(t, m)

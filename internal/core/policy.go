@@ -1,9 +1,10 @@
 package core
 
 import (
-	"bytes"
-	"encoding/gob"
+	"encoding/binary"
 	"fmt"
+
+	"deepheal/internal/codec"
 )
 
 // CoreMode is the per-step operating mode the policy assigns to a core.
@@ -177,21 +178,35 @@ func DefaultDeepHealing() *DeepHealing {
 // Name implements Policy.
 func (*DeepHealing) Name() string { return "deep-healing" }
 
+// deepHealingMagic leads a DeepHealing state payload.
+const deepHealingMagic = 'D'
+
 // SnapshotState implements StatefulPolicy: the per-core recovery countdowns
-// are the only planning state.
-func (p *DeepHealing) SnapshotState() ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(p.remaining); err != nil {
-		return nil, fmt.Errorf("core: deep-healing snapshot: %w", err)
+// are the only planning state, written as a count then signed varints.
+func (p *DeepHealing) SnapshotState() []byte {
+	buf := make([]byte, 0, 1+binary.MaxVarintLen64*(1+len(p.remaining)))
+	buf = append(buf, deepHealingMagic)
+	buf = binary.AppendUvarint(buf, uint64(len(p.remaining)))
+	for _, v := range p.remaining {
+		buf = binary.AppendVarint(buf, int64(v))
 	}
-	return buf.Bytes(), nil
+	return buf
 }
 
-// RestoreState implements StatefulPolicy.
+// RestoreState implements StatefulPolicy. No countdowns restore as nil, so
+// the next Plan sizes them for the chip, as it does on a fresh policy.
 func (p *DeepHealing) RestoreState(data []byte) error {
+	r := codec.NewReader(data, "core: deep-healing restore")
+	r.Magic(deepHealingMagic)
 	var remaining []int
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&remaining); err != nil {
-		return fmt.Errorf("core: deep-healing restore: %w", err)
+	if n := r.Len(1); n > 0 {
+		remaining = make([]int, n)
+		for i := range remaining {
+			remaining[i] = int(r.Varint())
+		}
+	}
+	if err := r.Close(); err != nil {
+		return err
 	}
 	p.remaining = remaining
 	return nil

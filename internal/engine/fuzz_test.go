@@ -2,6 +2,7 @@ package engine_test
 
 import (
 	"bytes"
+	"compress/flate"
 	"context"
 	"testing"
 
@@ -29,7 +30,7 @@ func FuzzDecodeSystemSnapshot(f *testing.F) {
 	roundTrip := encode(42, map[string][]byte{
 		"bti/core/0": bytes.Repeat([]byte{1, 2, 3, 4}, 64),
 		"bti/core/1": {},
-		"core/sim":   []byte("gob payload here"),
+		"core/sim":   []byte("sim payload here"),
 	})
 	f.Add(roundTrip)
 	f.Add(roundTrip[:len(roundTrip)-3])
@@ -53,6 +54,23 @@ func FuzzDecodeSystemSnapshot(f *testing.F) {
 	}
 	f.Add(chip)
 	f.Add(chip[:len(chip)/2])
+
+	// The same chip framed as version 2 in the DEFLATE container older
+	// builds wrote, which the decoder must refuse.
+	body := append([]byte{2}, chip[5:]...) // magic, then version 3 as one byte
+	var v2 bytes.Buffer
+	v2.Write(chip[:4])
+	zw, err := flate.NewWriter(&v2, flate.BestSpeed)
+	if err != nil {
+		f.Fatal(err)
+	}
+	if _, err := zw.Write(body); err != nil {
+		f.Fatal(err)
+	}
+	if err := zw.Close(); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(v2.Bytes())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		snap, err := engine.DecodeSystemSnapshot(data)

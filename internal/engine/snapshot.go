@@ -2,20 +2,23 @@ package engine
 
 import (
 	"bytes"
-	"compress/flate"
 	"encoding/binary"
+	"errors"
 	"fmt"
-	"io"
 	"sort"
-	"sync"
 )
 
 // SnapshotVersion is the current system-snapshot format version. Decoding
-// rejects snapshots from a different version rather than guessing. Version 2
-// switched the rngx journal inside component payloads to run-length
-// encoding; version-1 checkpoints would decode but replay wrongly, so they
-// are refused.
-const SnapshotVersion = 2
+// rejects snapshots from a different version rather than guessing. Version
+// 2 switched the rngx journal inside component payloads to run-length
+// encoding; version 3 dropped the DEFLATE stream around the body and the
+// gob payloads inside it. Older checkpoints are refused.
+const SnapshotVersion = 3
+
+// ErrDeflateSnapshot reports a checkpoint in the DEFLATE container that
+// builds before format version 3 wrote. Its body is compressed, so its
+// fields cannot be read; it is refused whole.
+var ErrDeflateSnapshot = errors.New("engine: decode snapshot: DEFLATE-compressed snapshot (format version 2 or older) is no longer read; this build reads raw version-3 snapshots")
 
 // SystemSnapshot composes the serialised state of every component of a
 // simulation into one versioned checkpoint (see Encode for the framing).
@@ -56,61 +59,30 @@ func (s *SystemSnapshot) Bytes(name string) ([]byte, error) {
 	return data, nil
 }
 
-// Snapshot framing. A fleet checkpointing thousands of chips wants a dense
-// container, so the encoding is a fixed header followed by one DEFLATE
-// stream of varint-framed (name, payload) entries sorted by name:
+// Snapshot framing. The encoding is a fixed magic followed by a raw body
+// of varint-framed (name, payload) entries sorted by name:
 //
-//	magic | flate( version, step, n, n × (len(name), name, len(data), data) )
+//	magic | version, step, n, n × (len(name), name, len(data), data)
 //
-// Component payloads are stored as given (each model has its own compact
-// encoding); the shared DEFLATE layer then squeezes the redundancy across
-// components — occupancy byte-planes, repeated config blocks — in one pass.
-// Sorting makes encoding deterministic despite the map. Input without the
-// magic is refused: this is the only framing.
+// Component payloads are stored as given: each model has its own dense
+// codec, and the container adds nothing but the framing. A suspended fleet
+// chip is encoded and decoded on every batch, and compressing it cost more
+// CPU than the chip's physics for about a quarter fewer bytes. Sorting
+// makes encoding deterministic despite the map. Input without the magic is
+// refused: this is the only framing.
 //
-// A fleet suspends and rehydrates chips on every batch, so the codec keeps
-// its DEFLATE state across calls: writers, readers and body buffers come
-// from pools, and writers and readers are Reset per snapshot (a reset
-// writer emits the same bytes as a fresh one). The container compresses at
-// BestSpeed: on a 4x4 chip that halves the encode time against
-// DefaultCompression for about 5 % more bytes, and any DEFLATE level
-// decodes the same way.
+// Builds before version 3 wrote the same fields as one DEFLATE stream
+// after the magic. The raw body's first byte is its version, 3, as one
+// uvarint byte. A DEFLATE stream holding a body of version 1 or 2 never
+// starts with that byte: 0x03 opens a final fixed-Huffman block whose
+// first code is an end-of-block or a length, never the literal 1 or 2
+// such a body starts with. So only a first byte of 3 is parsed, and any
+// other is refused with ErrDeflateSnapshot; no compressed body is ever
+// parsed as a raw one. (A later raw version is refused the same way: its
+// first byte cannot be told from a compressed stream's.)
 
 // snapshotMagic leads every encoded snapshot.
 var snapshotMagic = []byte{0x00, 'D', 'H', 'C'}
-
-// maxPooledBody caps the body buffers returned to bodyPool, so decoding one
-// whole-fleet checkpoint does not pin its size in memory afterwards.
-const maxPooledBody = 1 << 20
-
-var (
-	writerPool = sync.Pool{New: func() any {
-		zw, err := flate.NewWriter(io.Discard, flate.BestSpeed)
-		if err != nil {
-			panic(err) // BestSpeed is a valid level
-		}
-		return zw
-	}}
-	readerPool = sync.Pool{New: func() any { return flate.NewReader(bytes.NewReader(nil)) }}
-	bodyPool   = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-)
-
-// getBody takes an empty body buffer from the pool.
-func getBody() *bytes.Buffer {
-	b := bodyPool.Get().(*bytes.Buffer)
-	b.Reset()
-	return b
-}
-
-// putBody returns b to the pool unless it has grown past maxPooledBody,
-// and reports whether it did.
-func putBody(b *bytes.Buffer) bool {
-	if b.Cap() > maxPooledBody {
-		return false
-	}
-	bodyPool.Put(b)
-	return true
-}
 
 // Encode serialises the snapshot.
 func (s *SystemSnapshot) Encode() ([]byte, error) {
@@ -118,69 +90,36 @@ func (s *SystemSnapshot) Encode() ([]byte, error) {
 		return nil, fmt.Errorf("engine: encode snapshot: negative step %d", s.Step)
 	}
 	names := make([]string, 0, len(s.Components))
-	for name := range s.Components {
+	size := len(snapshotMagic) + 3*binary.MaxVarintLen64
+	for name, data := range s.Components {
 		names = append(names, name)
+		size += 2*binary.MaxVarintLen64 + len(name) + len(data)
 	}
 	sort.Strings(names)
 
-	body := getBody()
-	defer putBody(body)
-	uvarint := func(v uint64) { body.Write(binary.AppendUvarint(body.AvailableBuffer(), v)) }
-	uvarint(uint64(s.Version))
-	uvarint(uint64(s.Step))
-	uvarint(uint64(len(names)))
+	buf := make([]byte, 0, size)
+	buf = append(buf, snapshotMagic...)
+	buf = binary.AppendUvarint(buf, uint64(s.Version))
+	buf = binary.AppendUvarint(buf, uint64(s.Step))
+	buf = binary.AppendUvarint(buf, uint64(len(names)))
 	for _, name := range names {
-		uvarint(uint64(len(name)))
-		body.WriteString(name)
+		buf = binary.AppendUvarint(buf, uint64(len(name)))
+		buf = append(buf, name...)
 		data := s.Components[name]
-		uvarint(uint64(len(data)))
-		body.Write(data)
+		buf = binary.AppendUvarint(buf, uint64(len(data)))
+		buf = append(buf, data...)
 	}
-
-	var buf bytes.Buffer
-	buf.Write(snapshotMagic)
-	zw := writerPool.Get().(*flate.Writer)
-	defer func() {
-		zw.Reset(io.Discard) // drop the reference to buf before pooling
-		writerPool.Put(zw)
-	}()
-	zw.Reset(&buf)
-	if _, err := zw.Write(body.Bytes()); err != nil {
-		return nil, fmt.Errorf("engine: encode snapshot: %w", err)
-	}
-	if err := zw.Close(); err != nil {
-		return nil, fmt.Errorf("engine: encode snapshot: %w", err)
-	}
-	return buf.Bytes(), nil
+	return buf, nil
 }
 
-// DecodeSystemSnapshot parses an Encode result, over a pooled reader and
-// body buffer, and checks its version.
+// DecodeSystemSnapshot parses an Encode result and checks its version.
+// Every name and payload is copied out of data, so the caller may reuse
+// data once it returns.
 func DecodeSystemSnapshot(data []byte) (*SystemSnapshot, error) {
 	if !bytes.HasPrefix(data, snapshotMagic) {
 		return nil, fmt.Errorf("engine: decode snapshot: not a snapshot (bad magic)")
 	}
-	zr := readerPool.Get().(io.ReadCloser)
-	defer func() {
-		zr.(flate.Resetter).Reset(bytes.NewReader(nil), nil) // drop the reference to data
-		readerPool.Put(zr)
-	}()
-	body := getBody()
-	defer putBody(body)
-	return decodeWith(zr, body, data)
-}
-
-// decodeWith inflates data through zr into the empty buffer body
-// and parses it. Every name and payload is copied out of body, so the
-// caller may reuse both once it returns, whatever the outcome.
-func decodeWith(zr io.ReadCloser, body *bytes.Buffer, data []byte) (*SystemSnapshot, error) {
-	if err := zr.(flate.Resetter).Reset(bytes.NewReader(data[len(snapshotMagic):]), nil); err != nil {
-		return nil, fmt.Errorf("engine: decode snapshot: %w", err)
-	}
-	if _, err := body.ReadFrom(zr); err != nil {
-		return nil, fmt.Errorf("engine: decode snapshot: %w", err)
-	}
-	rest := body.Bytes()
+	rest := data[len(snapshotMagic):]
 	next := func(what string) (uint64, error) {
 		v, n := binary.Uvarint(rest)
 		if n <= 0 {
@@ -189,13 +128,13 @@ func decodeWith(zr io.ReadCloser, body *bytes.Buffer, data []byte) (*SystemSnaps
 		rest = rest[n:]
 		return v, nil
 	}
-	version, err := next("version")
-	if err != nil {
-		return nil, err
+	if len(rest) == 0 {
+		return nil, fmt.Errorf("engine: decode snapshot: truncated version")
 	}
-	if version != SnapshotVersion {
-		return nil, fmt.Errorf("engine: snapshot version %d, this build reads %d", version, SnapshotVersion)
+	if rest[0] != SnapshotVersion {
+		return nil, ErrDeflateSnapshot
 	}
+	rest = rest[1:]
 	step, err := next("step")
 	if err != nil {
 		return nil, err
@@ -211,7 +150,7 @@ func decodeWith(zr io.ReadCloser, body *bytes.Buffer, data []byte) (*SystemSnaps
 		return nil, fmt.Errorf("engine: decode snapshot: %d components exceeds payload", count)
 	}
 	s := &SystemSnapshot{
-		Version:    int(version),
+		Version:    SnapshotVersion,
 		Step:       int(step),
 		Components: make(map[string][]byte, count),
 	}
@@ -235,9 +174,7 @@ func decodeWith(zr io.ReadCloser, body *bytes.Buffer, data []byte) (*SystemSnaps
 		if _, ok := s.Components[name]; ok {
 			return nil, fmt.Errorf("engine: decode snapshot: duplicate component %q", name)
 		}
-		payload := make([]byte, dataLen)
-		copy(payload, rest[:dataLen])
-		s.Components[name] = payload
+		s.Components[name] = bytes.Clone(rest[:dataLen])
 		rest = rest[dataLen:]
 	}
 	if len(rest) != 0 {

@@ -3,10 +3,8 @@ package engine
 import (
 	"bytes"
 	"compress/flate"
-	"fmt"
-	"io"
+	"errors"
 	"strings"
-	"sync"
 	"testing"
 )
 
@@ -67,7 +65,7 @@ func TestCompactSnapshotRoundTrip(t *testing.T) {
 	payloads := map[string][]byte{
 		"bti/core/0": bytes.Repeat([]byte{1, 2, 3, 4}, 64),
 		"bti/core/1": {},
-		"core/sim":   []byte("gob payload here"),
+		"core/sim":   []byte("sim payload here"),
 	}
 	for name, data := range payloads {
 		if err := s.AddBytes(name, data); err != nil {
@@ -180,168 +178,59 @@ func TestGobAndCompactFormsSniffCorrectly(t *testing.T) {
 	}
 }
 
-// refEncode re-compresses the body of a compact encoding with a freshly
-// allocated BestSpeed writer: the bytes a pooled, reset writer must match.
-func refEncode(t *testing.T, enc []byte) []byte {
-	t.Helper()
-	body, err := io.ReadAll(flate.NewReader(bytes.NewReader(enc[len(snapshotMagic):])))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	buf.Write(snapshotMagic)
-	zw, err := flate.NewWriter(&buf, flate.BestSpeed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := zw.Write(body); err != nil {
-		t.Fatal(err)
-	}
-	if err := zw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
+// v2Body is the body of NewSystemSnapshot(5) holding {"c": {9, 9}} as a
+// version-2 build framed it before compressing: version, step, count, then
+// (len(name), name, len(data), data).
+var v2Body = []byte{2, 5, 1, 1, 'c', 2, 9, 9}
 
-// codecSnapshots are snapshots of different sizes and redundancy, so pooled
-// writers and readers are reused across unlike streams.
-func codecSnapshots(t *testing.T) []*SystemSnapshot {
-	t.Helper()
-	var out []*SystemSnapshot
-	for k, size := range []int{0, 17, 4096, 70000} {
-		s := NewSystemSnapshot(k)
-		for c := 0; c < 3; c++ {
-			data := make([]byte, size)
-			for i := range data {
-				data[i] = byte(i*(c+1) + i/(k+1)*7)
-			}
-			if err := s.AddBytes(fmt.Sprintf("comp/%d", c), data); err != nil {
+// TestDeflateSnapshotRefused checks a checkpoint in the older DEFLATE
+// container, at any compression level, is refused with ErrDeflateSnapshot
+// rather than misparsed as a raw body.
+func TestDeflateSnapshotRefused(t *testing.T) {
+	bodies := [][]byte{v2Body, {1, 5, 0}, append(append([]byte{}, v2Body[:6]...), bytes.Repeat([]byte{7}, 5000)...)}
+	levels := []int{flate.NoCompression, flate.BestSpeed, flate.DefaultCompression, flate.BestCompression, flate.HuffmanOnly}
+	for _, body := range bodies {
+		for _, level := range levels {
+			var buf bytes.Buffer
+			buf.Write(snapshotMagic)
+			zw, err := flate.NewWriter(&buf, level)
+			if err != nil {
 				t.Fatal(err)
 			}
-		}
-		out = append(out, s)
-	}
-	return out
-}
-
-func TestPooledEncodeMatchesFreshWriter(t *testing.T) {
-	snaps := codecSnapshots(t)
-	want := make([][]byte, len(snaps))
-	for i, s := range snaps {
-		enc, err := s.Encode()
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[i] = refEncode(t, enc)
-		if !bytes.Equal(enc, want[i]) {
-			t.Fatalf("snapshot %d: pooled encoding differs from a fresh BestSpeed writer", i)
-		}
-	}
-	var wg sync.WaitGroup
-	errs := make(chan error, 8) // one slot per goroutine, each sends at most once
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for round := 0; round < 20; round++ {
-				i := (g + round) % len(snaps)
-				enc, err := snaps[i].Encode()
-				if err != nil {
-					errs <- err
-					return
-				}
-				if !bytes.Equal(enc, want[i]) {
-					errs <- fmt.Errorf("goroutine %d round %d: snapshot %d encoded differently", g, round, i)
-					return
-				}
-				dec, err := DecodeSystemSnapshot(enc)
-				if err != nil {
-					errs <- err
-					return
-				}
-				if dec.Step != snaps[i].Step || len(dec.Components) != len(snaps[i].Components) {
-					errs <- fmt.Errorf("goroutine %d round %d: snapshot %d decoded wrongly", g, round, i)
-					return
-				}
+			if _, err := zw.Write(body); err != nil {
+				t.Fatal(err)
 			}
-		}(g)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Error(err)
-	}
-}
-
-func TestPooledReaderRecoversAfterCorruptStream(t *testing.T) {
-	snaps := codecSnapshots(t)
-	valid, err := snaps[2].Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	other, err := snaps[3].Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	corrupt := append([]byte(nil), valid...)
-	for i := len(snapshotMagic) + 4; i < len(corrupt); i += 9 {
-		corrupt[i] ^= 0x5a
-	}
-	// One reader and one body buffer carry over from each failed decode to
-	// the next valid one, as they do through the pools.
-	zr := flate.NewReader(bytes.NewReader(nil))
-	body := new(bytes.Buffer)
-	for _, bad := range [][]byte{valid[:len(valid)/2], valid[:len(snapshotMagic)+1], corrupt} {
-		body.Reset()
-		if _, err := decodeWith(zr, body, bad); err == nil {
-			t.Fatalf("damaged stream of %d bytes decoded", len(bad))
-		}
-		body.Reset()
-		dec, err := decodeWith(zr, body, valid)
-		if err != nil {
-			t.Fatalf("valid stream after a damaged one: %v", err)
-		}
-		// Reuse the body once more: dec must own its payloads.
-		body.Reset()
-		if _, err := decodeWith(zr, body, other); err != nil {
-			t.Fatal(err)
-		}
-		for name, want := range snaps[2].Components {
-			if got, _ := dec.Bytes(name); !bytes.Equal(got, want) {
-				t.Fatalf("component %q wrong after reusing the reader", name)
+			if err := zw.Close(); err != nil {
+				t.Fatal(err)
+			}
+			_, err = DecodeSystemSnapshot(buf.Bytes())
+			if !errors.Is(err, ErrDeflateSnapshot) {
+				t.Errorf("level %d, %d-byte v%d body: err = %v, want ErrDeflateSnapshot", level, len(body), body[0], err)
 			}
 		}
 	}
 }
 
-func TestOversizedBodyNotPooled(t *testing.T) {
-	s := NewSystemSnapshot(1)
-	big := bytes.Repeat([]byte{7}, maxPooledBody+1)
-	if err := s.AddBytes("big", big); err != nil {
-		t.Fatal(err)
+// TestTruncatedSnapshotRefused checks every strict prefix of a raw
+// snapshot fails to decode: with no compressed stream to end early, the
+// framing alone must catch a cut anywhere.
+func TestTruncatedSnapshotRefused(t *testing.T) {
+	s := NewSystemSnapshot(300)
+	for name, data := range map[string][]byte{"a": {1, 2, 3}, "bb": {}, "ccc": bytes.Repeat([]byte{4}, 200)} {
+		if err := s.AddBytes(name, data); err != nil {
+			t.Fatal(err)
+		}
 	}
 	enc, err := s.Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := DecodeSystemSnapshot(enc)
-	if err != nil {
+	if _, err := DecodeSystemSnapshot(enc); err != nil {
 		t.Fatal(err)
 	}
-	if got, _ := dec.Bytes("big"); !bytes.Equal(got, big) {
-		t.Fatal("oversized component corrupted")
-	}
-	for i := 0; i < 8; i++ {
-		if b := getBody(); b.Cap() > maxPooledBody {
-			t.Fatalf("pool handed out a %d-byte body buffer, cap %d", b.Cap(), maxPooledBody)
+	for n := 0; n < len(enc); n++ {
+		if _, err := DecodeSystemSnapshot(enc[:n]); err == nil {
+			t.Fatalf("snapshot cut to %d of %d bytes decoded", n, len(enc))
 		}
-	}
-	grown := new(bytes.Buffer)
-	grown.Grow(maxPooledBody + 1)
-	if putBody(grown) {
-		t.Error("a body buffer over the cap went back to the pool")
-	}
-	if !putBody(new(bytes.Buffer)) {
-		t.Error("a small body buffer was not pooled")
 	}
 }

@@ -60,8 +60,8 @@ const (
 	// — before merge and assembly — the failure `coordinate -resume` must
 	// recover from without re-running any completed point.
 	SiteCoordinatorDie Site = "coordinator-die"
-	// SiteCheckpointTruncate truncates a checkpoint blob mid-gob before it
-	// reaches disk.
+	// SiteCheckpointTruncate truncates a checkpoint blob half-way through
+	// its raw component entries before it reaches disk.
 	SiteCheckpointTruncate Site = "checkpoint-truncate"
 )
 

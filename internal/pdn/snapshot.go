@@ -1,54 +1,63 @@
 package pdn
 
 import (
-	"bytes"
-	"encoding/gob"
-	"fmt"
-	"reflect"
+	"encoding/binary"
+	"slices"
+
+	"deepheal/internal/codec"
 )
 
 // The grid's only mutable state is the warm-start vector of the
 // conjugate-gradient solver — but that state influences the iterate the
 // solver converges to at finite tolerance, so a bit-identical resume must
-// carry it.
+// carry it. The snapshot is magic, the config (a compatibility check: dims,
+// the two electrical floats, the pad list, the wire cross-section), then
+// the warm start.
 
-// gridSnapshot is the serialised form of a power grid's mutable state.
-type gridSnapshot struct {
-	Config Config
-	Warm   []float64
-}
+const snapshotMagic = 'P'
 
 // Snapshot serialises the grid's config and solver warm start.
-func (g *Grid) Snapshot() ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(gridSnapshot{Config: g.cfg, Warm: g.warm}); err != nil {
-		return nil, fmt.Errorf("pdn: snapshot: %w", err)
+func (g *Grid) Snapshot() []byte {
+	c := g.cfg
+	buf := make([]byte, 0, 1+(3+len(c.Pads))*binary.MaxVarintLen64+4*8+binary.MaxVarintLen64+8*len(g.warm))
+	buf = append(buf, snapshotMagic)
+	buf = binary.AppendUvarint(buf, uint64(c.Rows))
+	buf = binary.AppendUvarint(buf, uint64(c.Cols))
+	buf = codec.AppendFloat(buf, c.SegOhm)
+	buf = codec.AppendFloat(buf, c.VDD)
+	buf = binary.AppendUvarint(buf, uint64(len(c.Pads)))
+	for _, p := range c.Pads {
+		buf = binary.AppendUvarint(buf, uint64(p))
 	}
-	return buf.Bytes(), nil
+	buf = codec.AppendFloat(buf, c.WireWidthM)
+	buf = codec.AppendFloat(buf, c.WireThickM)
+	return codec.AppendFloats(buf, g.warm)
 }
 
 // Restore rewinds the grid from a Snapshot taken from a grid of the same
-// config.
+// config. An empty and a nil pad list are the same config. A rejected
+// payload leaves the grid untouched.
 func (g *Grid) Restore(data []byte) error {
-	var snap gridSnapshot
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&snap); err != nil {
-		return fmt.Errorf("pdn: restore: %w", err)
+	r := codec.NewReader(data, "pdn: restore")
+	r.Magic(snapshotMagic)
+	rows, cols := r.Uvarint(), r.Uvarint()
+	segOhm, vdd := r.Float(), r.Float()
+	pads := make([]uint64, r.Len(1))
+	for i := range pads {
+		pads[i] = r.Uvarint()
 	}
-	if !sameConfig(snap.Config, g.cfg) {
-		return fmt.Errorf("pdn: restore: snapshot config %+v does not match this grid's %+v", snap.Config, g.cfg)
+	width, thick := r.Float(), r.Float()
+	c := g.cfg
+	if r.Err() == nil && (rows != uint64(c.Rows) || cols != uint64(c.Cols) || segOhm != c.SegOhm || vdd != c.VDD ||
+		!slices.EqualFunc(pads, c.Pads, func(a uint64, b int) bool { return a == uint64(b) }) ||
+		width != c.WireWidthM || thick != c.WireThickM) {
+		r.Fail("snapshot config (%dx%d, %g Ω, %g V, pads %v, %g×%g m) does not match this grid's %+v",
+			rows, cols, segOhm, vdd, pads, width, thick, c)
 	}
-	if len(snap.Warm) != len(g.warm) {
-		return fmt.Errorf("pdn: restore: %d warm-start entries for %d unknowns", len(snap.Warm), len(g.warm))
+	warm := r.Floats(len(g.warm))
+	if err := r.Close(); err != nil {
+		return err
 	}
-	copy(g.warm, snap.Warm)
+	copy(g.warm, warm)
 	return nil
-}
-
-// sameConfig reports whether a and b describe the same grid. Gob decodes an
-// empty pad list as nil, so empty and nil lists compare equal.
-func sameConfig(a, b Config) bool {
-	if len(a.Pads) == 0 && len(b.Pads) == 0 {
-		a.Pads, b.Pads = nil, nil
-	}
-	return reflect.DeepEqual(a, b)
 }

@@ -27,8 +27,10 @@ func (s *Source) Snapshot() []byte {
 }
 
 // Restore moves the receiver to the stream position of a Snapshot payload
-// by replaying the recorded draws (see replay).
-func (s *Source) Restore(data []byte) error {
+// by replaying the recorded draws (see replay). The caller bounds the replay
+// with maxDraws, the most draws the stream can have made by the resume
+// point; a journal claiming more is refused before any draw is replayed.
+func (s *Source) Restore(data []byte, maxDraws int64) error {
 	if len(data) == 0 || data[0] != snapshotMagic {
 		return fmt.Errorf("rngx: restore: bad magic")
 	}
@@ -70,5 +72,5 @@ func (s *Source) Restore(data []byte) error {
 	if len(rest) != 0 {
 		return fmt.Errorf("rngx: restore: %d trailing bytes", len(rest))
 	}
-	return s.replay(seed, runs)
+	return s.replay(seed, runs, maxDraws)
 }

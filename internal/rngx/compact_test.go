@@ -13,7 +13,7 @@ func TestCompactSnapshotRoundTrip(t *testing.T) {
 	want := s.Normal(0, 1)
 
 	r := New(0)
-	if err := r.Restore(data); err != nil {
+	if err := r.Restore(data, unbounded); err != nil {
 		t.Fatal(err)
 	}
 	if got := r.Normal(0, 1); got != want {
@@ -40,7 +40,7 @@ func TestCompactSnapshotConstantSizeForRegularStream(t *testing.T) {
 func TestCompactRestoreRejectsGarbage(t *testing.T) {
 	for _, data := range [][]byte{nil, {}, []byte("junk"), {snapshotMagic}, {snapshotMagic, 0x02, 0xff}} {
 		s := New(0)
-		if err := s.Restore(data); err == nil {
+		if err := s.Restore(data, unbounded); err == nil {
 			t.Errorf("garbage %v accepted as snapshot", data)
 		}
 	}

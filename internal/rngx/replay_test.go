@@ -2,7 +2,9 @@ package rngx
 
 import (
 	"encoding/binary"
+	"math"
 	"testing"
+	"time"
 )
 
 // script is a draw sequence covering every journalled op kind, with runs
@@ -101,7 +103,7 @@ func TestReplayContinuesPrefix(t *testing.T) {
 			recv := New(tc.seed)
 			tc.prefix(recv)
 			before := recv.rng
-			if err := recv.Restore(data); err != nil {
+			if err := recv.Restore(data, unbounded); err != nil {
 				t.Fatal(err)
 			}
 			if fellBack := recv.rng != before; fellBack != tc.fallback {
@@ -142,10 +144,54 @@ func TestReplayRejectsBadJournalUntouched(t *testing.T) {
 			recv.Float64()
 			untouched.Float64()
 			untouched.Float64()
-			if err := recv.Restore(journalPayload(seed, []opRun{valid, bad})); err == nil {
+			if err := recv.Restore(journalPayload(seed, []opRun{valid, bad}), unbounded); err == nil {
 				t.Fatal("bad journal accepted")
 			}
 			assertSameContinuation(t, recv, untouched)
+		})
+	}
+}
+
+// unbounded is a draw budget no test journal reaches.
+const unbounded = math.MaxInt64
+
+// TestRestoreBoundsReplay checks a journal claiming more draws than the
+// caller's budget is refused before any replay, however large the claim,
+// while one exactly at the budget restores.
+func TestRestoreBoundsReplay(t *testing.T) {
+	const seed, budget = 3, 100
+	for name, tc := range map[string]struct {
+		runs []opRun
+		ok   bool
+	}{
+		"at the budget":       {[]opRun{{Kind: opNorm, Count: 60}, {Kind: opPerm, Arg: 4, Count: 10}}, true},
+		"one over":            {[]opRun{{Kind: opNorm, Count: 101}}, false},
+		"count near 2^62":     {[]opRun{{Kind: opNorm, Count: 1 << 62}}, false},
+		"Perm counts its n":   {[]opRun{{Kind: opPerm, Arg: 101, Count: 1}}, false},
+		"huge Perm":           {[]opRun{{Kind: opPerm, Arg: 1 << 40, Count: 1}}, false},
+		"Perm(0) still costs": {[]opRun{{Kind: opPerm, Arg: 0, Count: 1 << 62}}, false},
+		"sum overflows":       {[]opRun{{Kind: opNorm, Count: 1 << 62}, {Kind: opNorm, Count: 1 << 62}, {Kind: opNorm, Count: 1 << 62}}, false},
+	} {
+		t.Run(name, func(t *testing.T) {
+			recv, untouched := New(seed), New(seed)
+			recv.Normal(0, 1)
+			untouched.Normal(0, 1)
+			done := make(chan error, 1)
+			go func() { done <- recv.Restore(journalPayload(seed, tc.runs), budget) }()
+			select {
+			case err := <-done:
+				if tc.ok && err != nil {
+					t.Fatal(err)
+				}
+				if !tc.ok {
+					if err == nil {
+						t.Fatal("journal over the draw budget accepted")
+					}
+					assertSameContinuation(t, recv, untouched)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("restore still replaying after 5s")
+			}
 		})
 	}
 }

@@ -114,12 +114,17 @@ func (s *Source) Perm(n int) []int {
 // Bool draws true with probability p.
 func (s *Source) Bool(p float64) bool { return s.Float64() < p }
 
-// validate rejects a journal that no sequence of draws could have produced.
-func validate(runs []opRun) error {
+// validate rejects a journal that no sequence of draws could have produced,
+// or one that makes more than maxDraws draws on the generator. A Perm(n)
+// draw counts n draws (one per element, at least one), so the bound caps
+// the work and memory a replay can take, whatever the journal claims.
+func validate(runs []opRun, maxDraws int64) error {
+	left := maxDraws
 	for i, r := range runs {
 		if r.Count <= 0 {
 			return fmt.Errorf("rngx: restore: run %d: count %d invalid", i, r.Count)
 		}
+		cost := int64(1)
 		switch r.Kind {
 		case opFloat64, opNorm, opSplit:
 		case opIntN:
@@ -130,9 +135,14 @@ func validate(runs []opRun) error {
 			if r.Arg < 0 {
 				return fmt.Errorf("rngx: restore: run %d: Perm(%d) invalid", i, r.Arg)
 			}
+			cost = max(r.Arg, 1)
 		default:
 			return fmt.Errorf("rngx: restore: unknown op kind %d", r.Kind)
 		}
+		if left < 0 || r.Count > left/cost {
+			return fmt.Errorf("rngx: restore: journal makes more than %d draws", maxDraws)
+		}
+		left -= r.Count * cost
 	}
 	return nil
 }
@@ -196,10 +206,11 @@ func (s *Source) prefixOf(runs []opRun) (i int, done int64, ok bool) {
 // snapshot — it only makes the missing draws on its existing generator;
 // otherwise it replays the whole journal against a fresh one. Either way
 // the generator and the draw sequence match the original's, so the
-// continuation is identical. The journal is validated first, so a rejected
-// snapshot leaves the receiver untouched.
-func (s *Source) replay(seed int64, runs []opRun) error {
-	if err := validate(runs); err != nil {
+// continuation is identical. The journal is validated against maxDraws
+// first, so a rejected snapshot leaves the receiver untouched and advances
+// no generator.
+func (s *Source) replay(seed int64, runs []opRun, maxDraws int64) error {
+	if err := validate(runs, maxDraws); err != nil {
 		return err
 	}
 	rng := s.rng

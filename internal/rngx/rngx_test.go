@@ -140,7 +140,7 @@ func TestSnapshotRestoreContinuesSequence(t *testing.T) {
 	s.Uniform(1, 2)
 	s.Bool(0.5)
 	r := New(0)
-	if err := r.Restore(s.Snapshot()); err != nil {
+	if err := r.Restore(s.Snapshot(), unbounded); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 50; i++ {
@@ -162,7 +162,7 @@ func TestSnapshotRestoreInPlace(t *testing.T) {
 	want := s.Float64()
 	other := New(999) // differently seeded and positioned
 	other.IntN(4)
-	if err := other.Restore(snap); err != nil {
+	if err := other.Restore(snap, unbounded); err != nil {
 		t.Fatal(err)
 	}
 	if got := other.Float64(); got != want {
@@ -176,7 +176,7 @@ func TestSnapshotSplitChildrenReproducible(t *testing.T) {
 	snap := s.Snapshot()
 	wantChild := s.Split(5).Float64()
 	r := New(0)
-	if err := r.Restore(snap); err != nil {
+	if err := r.Restore(snap, unbounded); err != nil {
 		t.Fatal(err)
 	}
 	if got := r.Split(5).Float64(); got != wantChild {
@@ -192,7 +192,7 @@ func TestRestoreRejectsGarbage(t *testing.T) {
 	untouched.Normal(0, 1)
 	good := s.Snapshot()
 	for _, junk := range [][]byte{[]byte("junk"), good[:len(good)-1], append(good, 0)} {
-		if err := s.Restore(junk); err == nil {
+		if err := s.Restore(junk, unbounded); err == nil {
 			t.Errorf("garbage %v accepted as rng snapshot", junk)
 		}
 	}

@@ -31,8 +31,10 @@ func (s *ROSensor) Snapshot() []byte {
 	return append(buf, rng...)
 }
 
-// Restore rewinds the RO sensor from a Snapshot payload.
-func (s *ROSensor) Restore(data []byte) error {
+// Restore rewinds the RO sensor from a Snapshot payload of a sensor read at
+// most maxReads times. Each read draws once from the noise stream, so a
+// stream claiming more draws is refused before it is replayed.
+func (s *ROSensor) Restore(data []byte, maxReads int64) error {
 	cfgFloats, rng, err := splitSensor(data, compactROMagic, "ro")
 	if err != nil {
 		return err
@@ -46,7 +48,7 @@ func (s *ROSensor) Restore(data []byte) error {
 	if err := cfg.Validate(); err != nil {
 		return fmt.Errorf("sensor: ro restore: %w", err)
 	}
-	if err := s.rng.Restore(rng); err != nil {
+	if err := s.rng.Restore(rng, maxReads); err != nil {
 		return fmt.Errorf("sensor: ro restore: %w", err)
 	}
 	s.cfg = cfg
@@ -65,8 +67,9 @@ func (s *EMSensor) Snapshot() []byte {
 	return append(buf, rng...)
 }
 
-// Restore rewinds the EM sensor from a Snapshot payload.
-func (s *EMSensor) Restore(data []byte) error {
+// Restore rewinds the EM sensor from a Snapshot payload of a sensor read at
+// most maxReads times (one noise draw per read, as for ROSensor.Restore).
+func (s *EMSensor) Restore(data []byte, maxReads int64) error {
 	cfgFloats, rng, err := splitSensor(data, compactEMMagic, "em")
 	if err != nil {
 		return err
@@ -75,7 +78,7 @@ func (s *EMSensor) Restore(data []byte) error {
 	if err := cfg.Validate(); err != nil {
 		return fmt.Errorf("sensor: em restore: %w", err)
 	}
-	if err := s.rng.Restore(rng); err != nil {
+	if err := s.rng.Restore(rng, maxReads); err != nil {
 		return fmt.Errorf("sensor: em restore: %w", err)
 	}
 	s.cfg = cfg

@@ -23,7 +23,10 @@ func TestROCompactRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Restore(data); err != nil {
+	if err := r.Restore(data, 499); err == nil {
+		t.Error("snapshot of 500 reads restored under a 499-read bound")
+	}
+	if err := r.Restore(data, 500); err != nil {
 		t.Fatal(err)
 	}
 	if got := r.Read(0.005); got != want {
@@ -55,7 +58,10 @@ func TestEMCompactRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Restore(data); err != nil {
+	if err := r.Restore(data, 99); err == nil {
+		t.Error("snapshot of 100 reads restored under a 99-read bound")
+	}
+	if err := r.Restore(data, 100); err != nil {
 		t.Fatal(err)
 	}
 	got, err := r.Read(73.0)
@@ -78,7 +84,7 @@ func TestSensorCompactRejectsGarbage(t *testing.T) {
 	infCfg := append([]byte(nil), good...)
 	binary.LittleEndian.PutUint64(infCfg[17:], math.Float64bits(math.Inf(1))) // NoiseSigmaHz
 	for _, junk := range [][]byte{nil, {}, good[:10], append([]byte{0xff}, good[1:]...), nanCfg, infCfg} {
-		if err := ro.Restore(junk); err == nil {
+		if err := ro.Restore(junk, 1); err == nil {
 			t.Errorf("garbage of %d bytes accepted by RO sensor", len(junk))
 		}
 	}
@@ -100,7 +106,7 @@ func TestSensorRestoreContinuesNoiseStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ro2.Restore(ro.Snapshot()); err != nil {
+	if err := ro2.Restore(ro.Snapshot(), 5); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 8; i++ {
@@ -124,7 +130,7 @@ func TestSensorRestoreContinuesNoiseStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := em2.Restore(em1.Snapshot()); err != nil {
+	if err := em2.Restore(em1.Snapshot(), 4); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 8; i++ {

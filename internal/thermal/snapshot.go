@@ -1,47 +1,46 @@
 package thermal
 
 import (
-	"bytes"
-	"encoding/gob"
-	"fmt"
+	"encoding/binary"
+
+	"deepheal/internal/codec"
+	"deepheal/internal/units"
 )
 
 // The die temperature field is state that must survive a checkpoint (it
 // warm-starts the next solve and feeds the policies' heat-aware
-// observations). One grid per chip, so the gob form's self-description
-// costs little.
+// observations). The snapshot is a fixed frame: magic, the dimensions and
+// the config (a compatibility check), then the temperatures.
 
-// gridSnapshot is the serialised form of a thermal grid's mutable state.
-type gridSnapshot struct {
-	Rows, Cols int
-	Config     Config
-	TempsK     []float64
-}
+const snapshotMagic = 'H'
 
 // Snapshot serialises the grid's dimensions, config and temperatures.
-func (g *Grid) Snapshot() ([]byte, error) {
-	var buf bytes.Buffer
-	snap := gridSnapshot{Rows: g.rows, Cols: g.cols, Config: g.cfg, TempsK: g.temps}
-	if err := gob.NewEncoder(&buf).Encode(snap); err != nil {
-		return nil, fmt.Errorf("thermal: snapshot: %w", err)
+func (g *Grid) Snapshot() []byte {
+	buf := make([]byte, 0, 1+2*binary.MaxVarintLen64+4*8+binary.MaxVarintLen64+8*len(g.temps))
+	buf = append(buf, snapshotMagic)
+	buf = binary.AppendUvarint(buf, uint64(g.rows))
+	buf = binary.AppendUvarint(buf, uint64(g.cols))
+	for _, v := range []float64{g.cfg.RVertical, g.cfg.RLateral, g.cfg.HeatCapacity, g.cfg.Ambient.K()} {
+		buf = codec.AppendFloat(buf, v)
 	}
-	return buf.Bytes(), nil
+	return codec.AppendFloats(buf, g.temps)
 }
 
 // Restore rewinds the grid from a Snapshot taken from a grid of the same
-// dimensions and config.
+// dimensions and config. A rejected payload leaves the grid untouched.
 func (g *Grid) Restore(data []byte) error {
-	var snap gridSnapshot
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&snap); err != nil {
-		return fmt.Errorf("thermal: restore: %w", err)
+	r := codec.NewReader(data, "thermal: restore")
+	r.Magic(snapshotMagic)
+	rows, cols := r.Uvarint(), r.Uvarint()
+	cfg := Config{RVertical: r.Float(), RLateral: r.Float(), HeatCapacity: r.Float(), Ambient: units.Kelvin(r.Float())}
+	if r.Err() == nil && (rows != uint64(g.rows) || cols != uint64(g.cols) || cfg != g.cfg) {
+		r.Fail("snapshot of a %dx%d grid (%+v) does not match this %dx%d grid (%+v)",
+			rows, cols, cfg, g.rows, g.cols, g.cfg)
 	}
-	if snap.Rows != g.rows || snap.Cols != g.cols || snap.Config != g.cfg {
-		return fmt.Errorf("thermal: restore: snapshot of a %dx%d grid (%+v) does not match this %dx%d grid (%+v)",
-			snap.Rows, snap.Cols, snap.Config, g.rows, g.cols, g.cfg)
+	temps := r.Floats(len(g.temps))
+	if err := r.Close(); err != nil {
+		return err
 	}
-	if len(snap.TempsK) != len(g.temps) {
-		return fmt.Errorf("thermal: restore: %d temperatures for %d tiles", len(snap.TempsK), len(g.temps))
-	}
-	copy(g.temps, snap.TempsK)
+	copy(g.temps, temps)
 	return nil
 }
