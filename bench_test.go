@@ -14,15 +14,26 @@ import (
 // reproduced quantity as a custom metric, so `go test -bench=.` doubles as
 // the full reproduction harness. EXPERIMENTS.md records the values.
 
+// runAs executes experiment id through experiments.Run and returns its
+// typed result.
+func runAs[R experiments.Result](tb testing.TB, id string) R {
+	tb.Helper()
+	res, err := experiments.Run(context.Background(), id)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	r, ok := res.(R)
+	if !ok {
+		tb.Fatalf("%s assembled a %T", id, res)
+	}
+	return r
+}
+
 // BenchmarkTable1BTIRecovery regenerates Table I.
 func BenchmarkTable1BTIRecovery(b *testing.B) {
 	var last *experiments.Table1Result
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunTable1(context.Background())
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = res
+		last = runAs[*experiments.Table1Result](b, "table1")
 	}
 	for i, row := range last.Rows {
 		b.ReportMetric(row.Simulated*100, fmt.Sprintf("no%d_rec_%%", i+1))
@@ -33,11 +44,7 @@ func BenchmarkTable1BTIRecovery(b *testing.B) {
 func BenchmarkFig4PermanentBTI(b *testing.B) {
 	var last *experiments.Fig4Result
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunFig4(context.Background())
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = res
+		last = runAs[*experiments.Fig4Result](b, "fig4")
 	}
 	final := last.Cycles - 1
 	b.ReportMetric(last.Patterns[0].Residuals[final].ResidualV*1e3, "residual_1to1_mV")
@@ -48,11 +55,7 @@ func BenchmarkFig4PermanentBTI(b *testing.B) {
 func BenchmarkFig5EMRecovery(b *testing.B) {
 	var last *experiments.Fig5Result
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunFig5(context.Background())
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = res
+		last = runAs[*experiments.Fig5Result](b, "fig5")
 	}
 	b.ReportMetric(last.NucleationMin, "nucleation_min")
 	b.ReportMetric(last.ActiveRecovered*100, "active_rec_%")
@@ -64,11 +67,7 @@ func BenchmarkFig5EMRecovery(b *testing.B) {
 func BenchmarkFig6EMFullRecovery(b *testing.B) {
 	var last *experiments.Fig6Result
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunFig6(context.Background())
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = res
+		last = runAs[*experiments.Fig6Result](b, "fig6")
 	}
 	b.ReportMetric(last.ResidualOhm, "residual_ohm")
 	b.ReportMetric(last.ReverseEMOnset, "reverse_em_onset_min")
@@ -78,11 +77,7 @@ func BenchmarkFig6EMFullRecovery(b *testing.B) {
 func BenchmarkFig7ScheduledEM(b *testing.B) {
 	var last *experiments.Fig7Result
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunFig7(context.Background())
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = res
+		last = runAs[*experiments.Fig7Result](b, "fig7")
 	}
 	b.ReportMetric(last.ScheduledNucleationMin/last.BaselineNucleationMin, "nucleation_delay_x")
 	b.ReportMetric(last.ScheduledTTFMin/last.BaselineTTFMin, "ttf_extension_x")
@@ -92,11 +87,7 @@ func BenchmarkFig7ScheduledEM(b *testing.B) {
 func BenchmarkFig9AssistCircuit(b *testing.B) {
 	var last *experiments.Fig9Result
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunFig9(context.Background())
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = res
+		last = runAs[*experiments.Fig9Result](b, "fig9")
 	}
 	b.ReportMetric(last.BTI.LoadVSS, "bti_load_vss_V")
 	b.ReportMetric(last.BTI.LoadVDD, "bti_load_vdd_V")
@@ -107,11 +98,7 @@ func BenchmarkFig9AssistCircuit(b *testing.B) {
 func BenchmarkFig10LoadSizing(b *testing.B) {
 	var last *experiments.Fig10Result
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunFig10(context.Background())
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = res
+		last = runAs[*experiments.Fig10Result](b, "fig10")
 	}
 	final := last.Points[len(last.Points)-1]
 	b.ReportMetric(final.NormalizedDelay, "delay_5loads_x")
@@ -122,11 +109,7 @@ func BenchmarkFig10LoadSizing(b *testing.B) {
 func BenchmarkFig12SystemSchedule(b *testing.B) {
 	var last *experiments.Fig12Result
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunFig12(context.Background())
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = res
+		last = runAs[*experiments.Fig12Result](b, "fig12")
 	}
 	b.ReportMetric(last.MarginReduction, "margin_reduction_x")
 	b.ReportMetric(last.Policies[0].Report.GuardbandFrac*100, "worstcase_guardband_%")
@@ -137,11 +120,7 @@ func BenchmarkFig12SystemSchedule(b *testing.B) {
 func BenchmarkAblationEMFrequency(b *testing.B) {
 	var last *experiments.EMFreqResult
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunAblationEMFrequency(context.Background())
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = res
+		last = runAs[*experiments.EMFreqResult](b, "ablation-em-freq")
 	}
 	b.ReportMetric(last.DCTTFMin, "dc_ttf_min")
 	b.ReportMetric(last.Points[0].TTFMin/last.DCTTFMin, "slowest_ac_gain_x")
@@ -151,11 +130,7 @@ func BenchmarkAblationEMFrequency(b *testing.B) {
 func BenchmarkAblationBTIConditions(b *testing.B) {
 	var last *experiments.BTICondResult
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunAblationBTIConditions(context.Background())
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = res
+		last = runAs[*experiments.BTICondResult](b, "ablation-bti-cond")
 	}
 	b.ReportMetric(last.Grid[len(last.TempsC)-1][len(last.Volts)-1]*100, "max_rec_%")
 }
@@ -164,11 +139,7 @@ func BenchmarkAblationBTIConditions(b *testing.B) {
 func BenchmarkAblationScheduleGranularity(b *testing.B) {
 	var last *experiments.ScheduleResult
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunAblationSchedule(context.Background())
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = res
+		last = runAs[*experiments.ScheduleResult](b, "ablation-schedule")
 	}
 	best := last.Baseline
 	for _, p := range last.Points {
@@ -183,11 +154,7 @@ func BenchmarkAblationScheduleGranularity(b *testing.B) {
 func BenchmarkAblationPolicyZoo(b *testing.B) {
 	var last *experiments.PolicyZooResult
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunPolicyZoo(context.Background())
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = res
+		last = runAs[*experiments.PolicyZooResult](b, "ablation-policies")
 	}
 	b.ReportMetric(last.Reports[0].GuardbandFrac*100, "worst_guardband_%")
 	b.ReportMetric(last.Reports[len(last.Reports)-1].GuardbandFrac*100, "heataware_guardband_%")
@@ -197,11 +164,7 @@ func BenchmarkAblationPolicyZoo(b *testing.B) {
 func BenchmarkAblationRebalance(b *testing.B) {
 	var last *experiments.RebalanceResult
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunAblationRebalance(context.Background())
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = res
+		last = runAs[*experiments.RebalanceResult](b, "ablation-rebalance")
 	}
 	b.ReportMetric(last.Rows[1].ShiftV*1e3, "rebalanced_mV")
 	b.ReportMetric(last.Rows[3].ShiftV*1e3, "deepheal_mV")
@@ -211,11 +174,7 @@ func BenchmarkAblationRebalance(b *testing.B) {
 func BenchmarkVariationStudy(b *testing.B) {
 	var last *experiments.VariationResult
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunVariation(context.Background())
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = res
+		last = runAs[*experiments.VariationResult](b, "variation")
 	}
 	b.ReportMetric(last.TailReduction, "tail_reduction_x")
 }

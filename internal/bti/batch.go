@@ -30,8 +30,7 @@ func BatchApply(devs []*Device, c Condition, dur float64) {
 	// Group by grid in first-seen order. Grid identity implies equal
 	// Params — the shared cache keys grids by Params, and a private grid is
 	// only ever shared among clones — so each group has one pair of
-	// acceleration factors. Storage may differ within a group: every sweep
-	// dispatches on each device's storage.
+	// acceleration factors.
 	groups := make(map[*cetGrid][]*Device, 4)
 	order := make([]*cetGrid, 0, 4)
 	for _, d := range devs {

@@ -1,7 +1,6 @@
 package bti
 
 import (
-	"math"
 	"testing"
 
 	"deepheal/internal/rngx"
@@ -35,11 +34,6 @@ func requireDeviceEqual(t *testing.T, got, want *Device, label string) {
 			t.Fatalf("%s: occ[%d] = %v, want %v", label, i, got.occ[i], want.occ[i])
 		}
 	}
-	for i := range want.occ32 {
-		if got.occ32[i] != want.occ32[i] {
-			t.Fatalf("%s: occ32[%d] = %v, want %v", label, i, got.occ32[i], want.occ32[i])
-		}
-	}
 }
 
 // TestBatchApplyMatchesPerDevice drives a shared-grid group through the
@@ -68,8 +62,9 @@ func TestBatchApplyMatchesPerDevice(t *testing.T) {
 }
 
 // TestBatchApplyMixedGroups exercises the grouping logic: two shared-grid
-// corners, a private-grid singleton and float32 members sharing a grid with
-// float64 ones in one call must each match their per-device twins.
+// corners, a private-grid singleton and shared-grid members listed after it
+// (so a group is not contiguous in the call) must each match their
+// per-device twins.
 func TestBatchApplyMixedGroups(t *testing.T) {
 	coarse := DefaultParams().Coarse()
 	other := coarse
@@ -86,13 +81,9 @@ func TestBatchApplyMixedGroups(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		add(MustNewDevice(other))
 	}
-	add(newDeviceOnGrid(coarse, StorageFloat64, newCETGrid(coarse))) // private grid singleton
+	add(newDeviceOnGrid(coarse, newCETGrid(coarse))) // private grid singleton
 	for i := 0; i < 2; i++ {
-		d, err := NewDeviceStorage(coarse, StorageFloat32)
-		if err != nil {
-			t.Fatal(err)
-		}
-		add(d)
+		add(MustNewDevice(coarse))
 	}
 
 	for _, h := range batchHistory {
@@ -118,43 +109,6 @@ func TestBatchApplyDegenerate(t *testing.T) {
 	requireDeviceEqual(t, d, ref, "singleton")
 }
 
-// TestFloat32TracksFloat64OnTableI runs the paper's Table I protocol — 24 h
-// accelerated stress, then each recovery condition for 6 h — in both storage
-// modes. The float32 trajectory must stay within 1e-4 relative of float64 in
-// total shift: single-op rounding is ~6e-8 relative and the substep count is
-// ~100, so 1e-4 gives an order of magnitude of slack while still pinning the
-// mode to physics-indistinguishable.
-func TestFloat32TracksFloat64OnTableI(t *testing.T) {
-	for _, rec := range []struct {
-		name string
-		cond Condition
-	}{
-		{"passive", RecoverPassive},
-		{"active", RecoverActive},
-		{"accelerated", RecoverAccelerated},
-		{"deep", RecoverDeep},
-	} {
-		d64 := MustNewDevice(DefaultParams())
-		d32, err := NewDeviceStorage(DefaultParams(), StorageFloat32)
-		if err != nil {
-			t.Fatal(err)
-		}
-		d64.Apply(StressAccel, units.Hours(24))
-		d32.Apply(StressAccel, units.Hours(24))
-		stressRel := math.Abs(d32.ShiftV()-d64.ShiftV()) / d64.ShiftV()
-		if stressRel > 1e-4 {
-			t.Fatalf("%s: post-stress shift diverged by %.3g relative", rec.name, stressRel)
-		}
-		d64.Apply(rec.cond, units.Hours(6))
-		d32.Apply(rec.cond, units.Hours(6))
-		rel := math.Abs(d32.ShiftV()-d64.ShiftV()) / d64.ShiftV()
-		if rel > 1e-4 {
-			t.Fatalf("%s: post-recovery shift diverged by %.3g relative (%.6g vs %.6g)",
-				rec.name, rel, d32.ShiftV(), d64.ShiftV())
-		}
-	}
-}
-
 // TestPopulationLeavesGridCacheUntouched is the churn regression: a varied
 // 1000-member population must build every grid privately, leaving the shared
 // cache's entries, refs and build counter exactly as they were.
@@ -170,33 +124,5 @@ func TestPopulationLeavesGridCacheUntouched(t *testing.T) {
 	pop.Apply(StressAccel, units.Hours(1))
 	if after := GridCacheStats(); after != before {
 		t.Fatalf("stepping a varied population touched the shared grid cache: %+v -> %+v", before, after)
-	}
-}
-
-// TestPopulationStorageFloat32 checks the fleet-scale storage mode end to
-// end: members report float32 storage and the population's statistics stay
-// within the documented tolerance of a float64 twin.
-func TestPopulationStorageFloat32(t *testing.T) {
-	p64, err := NewPopulation(DefaultParams().Coarse(), DefaultVariation(), 24, rngx.New(9))
-	if err != nil {
-		t.Fatal(err)
-	}
-	p32, err := NewPopulationStorage(DefaultParams().Coarse(), DefaultVariation(), 24, rngx.New(9), StorageFloat32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < p32.Size(); i++ {
-		if p32.Device(i).Storage() != StorageFloat32 {
-			t.Fatalf("member %d storage = %v", i, p32.Device(i).Storage())
-		}
-	}
-	p64.Apply(StressAccel, units.Hours(8))
-	p32.Apply(StressAccel, units.Hours(8))
-	s64, s32 := p64.Stats(), p32.Stats()
-	if rel := math.Abs(s32.MeanV-s64.MeanV) / s64.MeanV; rel > 1e-4 {
-		t.Fatalf("float32 population mean diverged by %.3g relative", rel)
-	}
-	if rel := math.Abs(s32.WorstV-s64.WorstV) / s64.WorstV; rel > 1e-4 {
-		t.Fatalf("float32 population worst diverged by %.3g relative", rel)
 	}
 }

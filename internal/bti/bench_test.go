@@ -65,7 +65,7 @@ func benchFleet(b *testing.B) []*Device {
 	g := fullCacheGrid(b, p)
 	devs := make([]*Device, 64)
 	for i := range devs {
-		devs[i] = newDeviceOnGrid(p, StorageFloat64, g)
+		devs[i] = newDeviceOnGrid(p, g)
 	}
 	return devs
 }
@@ -85,7 +85,7 @@ func benchCondition(i int) Condition {
 // work of a deep-healing many-core step.
 func BenchmarkApplyGatedPhase(b *testing.B) {
 	p := DefaultParams().Coarse()
-	d := newDeviceOnGrid(p, StorageFloat64, fullCacheGrid(b, p))
+	d := newDeviceOnGrid(p, fullCacheGrid(b, p))
 	const effUtil = 0.6
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -122,11 +122,11 @@ func BenchmarkBatchApplyPerDevice(b *testing.B) {
 	b.ReportMetric(float64(len(devs))*float64(b.N)/b.Elapsed().Seconds(), "device-substeps/s")
 }
 
-// BenchmarkPopulationApplyFloat32 measures a varied 256-member float32
-// population advancing one substep — the fleet-scale Monte Carlo shape the
-// storage mode exists for.
-func BenchmarkPopulationApplyFloat32(b *testing.B) {
-	pop, err := NewPopulationStorage(DefaultParams(), DefaultVariation(), 256, benchRng(), StorageFloat32)
+// BenchmarkPopulationApply measures a varied 256-member population
+// advancing one substep — the Monte Carlo shape scenario and variation
+// studies run.
+func BenchmarkPopulationApply(b *testing.B) {
+	pop, err := NewPopulation(DefaultParams(), DefaultVariation(), 256, benchRng())
 	if err != nil {
 		b.Fatal(err)
 	}

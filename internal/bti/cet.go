@@ -82,17 +82,10 @@ func gridAxis(mu, sigma, span float64, n int) []float64 {
 	return out
 }
 
-// floatOcc constrains the occupancy element type. All kernel arithmetic runs
-// in float64 regardless; a float32 instantiation only narrows the stored
-// result, halving resident occupancy bytes for fleet-scale populations. The
-// float64 instantiation performs the exact operation sequence the pre-generic
-// code did, so it stays bit-identical.
-type floatOcc interface{ ~float32 | ~float64 }
-
 // naiveSweep is the direct per-cell reference implementation (one
 // exponential per cell per substep). The kernel path must match it within
 // 1e-12 relative; the differential tests in kernel_test.go enforce that.
-func naiveSweep[F floatOcc](g *cetGrid, occ []F, captureAF, emitAF, dt float64) {
+func naiveSweep(g *cetGrid, occ []float64, captureAF, emitAF, dt float64) {
 	for i := 0; i < g.nc; i++ {
 		var rc float64
 		if captureAF > 0 {
@@ -106,35 +99,17 @@ func naiveSweep[F floatOcc](g *cetGrid, occ []F, captureAF, emitAF, dt float64) 
 				continue
 			}
 			pInf := rc / rate
-			row[j] = F(pInf + (float64(row[j])-pInf)*math.Exp(-rate*dt))
+			row[j] = pInf + (row[j]-pInf)*math.Exp(-rate*dt)
 		}
 	}
 }
 
-// evolveNaive is the float64 form of naiveSweep.
-func (g *cetGrid) evolveNaive(occ []float64, captureAF, emitAF, dt float64) {
-	naiveSweep(g, occ, captureAF, emitAF, dt)
-}
-
 // gridShift returns the threshold-voltage contribution of the occupancy
-// vector; the accumulation is float64 for either storage.
-func gridShift[F floatOcc](g *cetGrid, occ []F) float64 {
+// vector.
+func gridShift(g *cetGrid, occ []float64) float64 {
 	var s float64
 	for k, w := range g.weight {
-		s += w * float64(occ[k])
+		s += w * occ[k]
 	}
 	return s
-}
-
-// shift is the float64 form of gridShift.
-func (g *cetGrid) shift(occ []float64) float64 {
-	return gridShift(g, occ)
-}
-
-// meanOccupancy returns the weight-averaged occupancy in [0, 1].
-func (g *cetGrid) meanOccupancy(occ []float64, maxShift float64) float64 {
-	if maxShift <= 0 {
-		return 0
-	}
-	return g.shift(occ) / maxShift
 }

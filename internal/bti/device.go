@@ -5,29 +5,6 @@ import (
 	"math"
 )
 
-// Storage selects the occupancy element type of a Device. All kernel
-// arithmetic runs in float64 either way; Float32 narrows only the stored
-// occupancy, halving the dominant resident cost of fleet-scale populations
-// (and their compact snapshots) at a bounded accuracy loss — see the
-// differential tests for the documented tolerance against Float64 on the
-// paper's Table I conditions.
-type Storage uint8
-
-const (
-	// StorageFloat64 is the default full-precision occupancy storage.
-	StorageFloat64 Storage = iota
-	// StorageFloat32 halves occupancy memory for fleet-scale populations.
-	StorageFloat32
-)
-
-// String names the storage mode.
-func (s Storage) String() string {
-	if s == StorageFloat32 {
-		return "float32"
-	}
-	return "float64"
-}
-
 // Device is one BTI-aging transistor population (a gate, a standard-cell
 // block, a core — any granularity at which a single stress history applies).
 // It tracks the recoverable CET trap occupancy plus the two-stage permanent
@@ -37,10 +14,7 @@ func (s Storage) String() string {
 type Device struct {
 	params Params
 	grid   *cetGrid
-	// Exactly one occupancy vector is non-nil, per the Storage mode the
-	// device was built with: CET occupancy, [0,1] per cell.
-	occ   []float64
-	occ32 []float32
+	occ    []float64 // CET occupancy, [0,1] per cell
 
 	precursorV float64 // P1: annealable permanent precursor (V)
 	lockedV    float64 // P2: locked permanent component (V)
@@ -48,32 +22,20 @@ type Device struct {
 	age float64 // accumulated simulated seconds
 }
 
-// NewDevice builds a fresh device from the given parameters with the default
-// float64 occupancy storage.
+// NewDevice builds a fresh device from the given parameters.
 func NewDevice(p Params) (*Device, error) {
-	return NewDeviceStorage(p, StorageFloat64)
-}
-
-// NewDeviceStorage builds a fresh device with the given occupancy storage.
-func NewDeviceStorage(p Params, s Storage) (*Device, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	return newDeviceOnGrid(p, s, acquireGrid(p)), nil
+	return newDeviceOnGrid(p, acquireGrid(p)), nil
 }
 
 // newDeviceOnGrid assembles a device over an already-built grid — either a
-// shared cache entry (NewDeviceStorage) or a private grid (population
-// variation draws, which must not churn the shared cache). Params must be
-// validated by the caller.
-func newDeviceOnGrid(p Params, s Storage, g *cetGrid) *Device {
-	d := &Device{params: p, grid: g}
-	if s == StorageFloat32 {
-		d.occ32 = make([]float32, p.GridCapture*p.GridEmission)
-	} else {
-		d.occ = make([]float64, p.GridCapture*p.GridEmission)
-	}
-	return d
+// shared cache entry (NewDevice) or a private grid (population variation
+// draws, which must not churn the shared cache). Params must be validated
+// by the caller.
+func newDeviceOnGrid(p Params, g *cetGrid) *Device {
+	return &Device{params: p, grid: g, occ: make([]float64, p.GridCapture*p.GridEmission)}
 }
 
 // MustNewDevice is NewDevice for known-good parameters; it panics on error.
@@ -89,21 +51,8 @@ func MustNewDevice(p Params) *Device {
 // Params returns the device's parameter set.
 func (d *Device) Params() Params { return d.params }
 
-// Storage reports the device's occupancy storage mode.
-func (d *Device) Storage() Storage {
-	if d.occ32 != nil {
-		return StorageFloat32
-	}
-	return StorageFloat64
-}
-
-// recoverable returns the trap-ensemble shift, dispatching on storage.
-func (d *Device) recoverable() float64 {
-	if d.occ32 != nil {
-		return gridShift(d.grid, d.occ32)
-	}
-	return gridShift(d.grid, d.occ)
-}
+// recoverable returns the trap-ensemble shift.
+func (d *Device) recoverable() float64 { return gridShift(d.grid, d.occ) }
 
 // ShiftV returns the total threshold-voltage shift in volts.
 func (d *Device) ShiftV() float64 {
@@ -126,13 +75,8 @@ func (d *Device) Age() float64 { return d.age }
 // copy holds its own cache reference.
 func (d *Device) Clone() *Device {
 	c := *d
-	if d.occ32 != nil {
-		c.occ32 = make([]float32, len(d.occ32))
-		copy(c.occ32, d.occ32)
-	} else {
-		c.occ = make([]float64, len(d.occ))
-		copy(c.occ, d.occ)
-	}
+	c.occ = make([]float64, len(d.occ))
+	copy(c.occ, d.occ)
 	if d.grid != nil {
 		reacquireGrid(d.params, d.grid)
 	}
@@ -155,9 +99,6 @@ func (d *Device) Release() {
 func (d *Device) Reset() {
 	for i := range d.occ {
 		d.occ[i] = 0
-	}
-	for i := range d.occ32 {
-		d.occ32[i] = 0
 	}
 	d.precursorV, d.lockedV, d.age = 0, 0, 0
 }
@@ -261,9 +202,7 @@ func applyPhase(devs []*Device, c Condition, dur, observeEvery float64, observe 
 	}
 }
 
-// meanOccupancy returns the device's weight-averaged occupancy in [0, 1],
-// dispatching on storage. It matches cetGrid.meanOccupancy on the float64
-// path bit-for-bit.
+// meanOccupancy returns the device's weight-averaged occupancy in [0, 1].
 func (d *Device) meanOccupancy() float64 {
 	if d.params.MaxShiftV <= 0 {
 		return 0

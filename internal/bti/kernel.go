@@ -197,13 +197,12 @@ func (g *cetGrid) fillKernel(k *evolveKernel, captureAF, emitAF, dt float64) {
 }
 
 // kernelSweep advances the occupancy vector by one kernel substep: a pure
-// fused multiply-add sweep with no divisions or transcendentals. The
-// arithmetic is float64 for either storage; float32 only narrows the store.
-func kernelSweep[F floatOcc](k *evolveKernel, occ []F) {
+// fused multiply-add sweep with no divisions or transcendentals.
+func kernelSweep(k *evolveKernel, occ []float64) {
 	pInf := k.pInf[:len(occ)]
 	decay := k.decay[:len(occ)]
 	for idx := range occ {
-		occ[idx] = F(pInf[idx] + (float64(occ[idx])-pInf[idx])*decay[idx])
+		occ[idx] = pInf[idx] + (occ[idx]-pInf[idx])*decay[idx]
 	}
 }
 
@@ -245,11 +244,7 @@ func separableSweep(g *cetGrid, devs []*Device, pInf []float64, captureAF, emitA
 	metSeparableSweep.Add(uint64(len(devs)))
 	sc := g.axes(captureAF, emitAF, dt)
 	for _, d := range devs {
-		if d.occ32 != nil {
-			separableRows(g, sc, d.occ32, pInf, captureAF)
-		} else {
-			separableRows(g, sc, d.occ, pInf, captureAF)
-		}
+		separableRows(g, sc, d.occ, pInf, captureAF)
 	}
 	g.scratch.Put(sc)
 }
@@ -265,7 +260,7 @@ func separableSweep(g *cetGrid, devs []*Device, pInf []float64, captureAF, emitA
 //     field, which depends only on the acceleration factors, not on dt — so
 //     a remainder substep reuses it instead of dividing per cell.
 //   - Otherwise: one division per cell for pInf = rc/rate.
-func separableRows[F floatOcc](g *cetGrid, sc *axisScratch, occ []F, pInf []float64, captureAF float64) {
+func separableRows(g *cetGrid, sc *axisScratch, occ, pInf []float64, captureAF float64) {
 	re, decayE := sc.re, sc.decayE
 	ne := g.ne
 	for i := 0; i < g.nc; i++ {
@@ -273,13 +268,13 @@ func separableRows[F floatOcc](g *cetGrid, sc *axisScratch, occ []F, pInf []floa
 		switch {
 		case captureAF <= 0:
 			for j := range row {
-				row[j] = F(0 + float64(row[j])*decayE[j])
+				row[j] = 0 + row[j]*decayE[j]
 			}
 		case pInf != nil:
 			dc := sc.dc[i]
 			p := pInf[i*ne : (i+1)*ne]
 			for j := range row {
-				row[j] = F(p[j] + (float64(row[j])-p[j])*(dc*decayE[j]))
+				row[j] = p[j] + (row[j]-p[j])*(dc*decayE[j])
 			}
 		default:
 			rc, dc := sc.rc[i], sc.dc[i]
@@ -289,7 +284,7 @@ func separableRows[F floatOcc](g *cetGrid, sc *axisScratch, occ []F, pInf []floa
 					continue
 				}
 				p := rc / rate
-				row[j] = F(p + (float64(row[j])-p)*(dc*decayE[j]))
+				row[j] = p + (row[j]-p)*(dc*decayE[j])
 			}
 		}
 	}
@@ -378,15 +373,10 @@ func (p *phaseSweeper) sweep(devs []*Device, dt float64) {
 	separableSweep(g, devs, pInf, p.captureAF, p.emitAF, dt)
 }
 
-// sweepKernel advances every device in devs through k, dispatching on each
-// device's storage.
+// sweepKernel advances every device in devs through k.
 func sweepKernel(k *evolveKernel, devs []*Device) {
 	for _, d := range devs {
-		if d.occ32 != nil {
-			kernelSweep(k, d.occ32)
-		} else {
-			kernelSweep(k, d.occ)
-		}
+		kernelSweep(k, d.occ)
 	}
 }
 

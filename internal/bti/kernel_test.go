@@ -68,7 +68,7 @@ func TestEvolveMatchesNaive(t *testing.T) {
 			sep := append([]float64(nil), ref...)
 			ker := append([]float64(nil), ref...)
 
-			g.evolveNaive(ref, captureAF, emitAF, dt)
+			naiveSweep(g, ref, captureAF, emitAF, dt)
 			g.evolveSeparable(sep, captureAF, emitAF, dt)
 			// Promote the key (first sight in phase 1, build in phase 2),
 			// then apply the cached kernel.
@@ -117,7 +117,7 @@ func applyReference(d *Device, c Condition, dur float64) {
 	elapsed := 0.0
 	for elapsed < dur {
 		step := math.Min(maxSubstep, dur-elapsed)
-		d.grid.evolveNaive(d.occ, captureAF, emitAF, step)
+		naiveSweep(d.grid, d.occ, captureAF, emitAF, step)
 		d.stepPermanent(c, emitAF, step)
 		elapsed += step
 		d.age += step
@@ -274,7 +274,7 @@ func TestConcurrentEvolveSharedGrid(t *testing.T) {
 				occ := randomOcc(rng, g.nc*g.ne)
 				want := append([]float64(nil), occ...)
 				g.evolve(occ, k.captureAF, k.emitAF, k.dt, uint64(w*1000+iter))
-				g.evolveNaive(want, k.captureAF, k.emitAF, k.dt)
+				naiveSweep(g, want, k.captureAF, k.emitAF, k.dt)
 				for i := range occ {
 					if relDiff(occ[i], want[i]) > 1e-12 {
 						errs <- "concurrent evolve diverged from naive reference"
@@ -387,7 +387,7 @@ func TestKernelCacheMetrics(t *testing.T) {
 	// full substeps (a miss that fills the phase kernel), one for the
 	// remainder (a miss served with the phase kernel's pInf).
 	before := reg.Snapshot()
-	d := newDeviceOnGrid(p, StorageFloat64, newCETGrid(p))
+	d := newDeviceOnGrid(p, newCETGrid(p))
 	d.Apply(StressAccel, 2.5*maxSubstep)
 	if got := delta(before, "deepheal_bti_phase_kernels_total"); got != 1 {
 		t.Errorf("phase kernels = %d, want 1", got)
@@ -417,7 +417,7 @@ func TestKernelCacheMetrics(t *testing.T) {
 // perSubstepSeparable is a copy of the separable sweep as it stood before
 // sweeps became phase-scoped: one division per cell for pInf on every
 // substep, stress or rest.
-func perSubstepSeparable[F floatOcc](g *cetGrid, occ []F, captureAF, emitAF, dt float64) {
+func perSubstepSeparable(g *cetGrid, occ []float64, captureAF, emitAF, dt float64) {
 	re := make([]float64, g.ne)
 	decayE := make([]float64, g.ne)
 	for j := range re {
@@ -437,7 +437,7 @@ func perSubstepSeparable[F floatOcc](g *cetGrid, occ []F, captureAF, emitAF, dt 
 				continue
 			}
 			pInf := rc / rate
-			row[j] = F(pInf + (float64(row[j])-pInf)*(dc*decayE[j]))
+			row[j] = pInf + (row[j]-pInf)*(dc*decayE[j])
 		}
 	}
 }
@@ -448,12 +448,12 @@ func perSubstepSeparable[F floatOcc](g *cetGrid, occ []F, captureAF, emitAF, dt 
 // It never touches the kernel cache — a cached kernel and the separable
 // sweep agree bitwise (TestEvolveMatchesNaive), so the per-substep
 // trajectory does not depend on what the cache held.
-func applyPerSubstep[F floatOcc](d *Device, occ []F, c Condition, dur float64) {
+func applyPerSubstep(d *Device, c Condition, dur float64) {
 	captureAF := d.params.captureAccel(c)
 	emitAF := d.params.emissionAccel(c)
 	evolve := func(dt float64) {
 		if dt > 0 && (captureAF > 0 || emitAF > 0) {
-			perSubstepSeparable(d.grid, occ, captureAF, emitAF, dt)
+			perSubstepSeparable(d.grid, d.occ, captureAF, emitAF, dt)
 		}
 	}
 	occLag := 0.0
@@ -472,15 +472,6 @@ func applyPerSubstep[F floatOcc](d *Device, occ []F, c Condition, dur float64) {
 	evolve(occLag)
 }
 
-// applyPerSubstepDevice dispatches applyPerSubstep on the storage mode.
-func applyPerSubstepDevice(d *Device, c Condition, dur float64) {
-	if d.occ32 != nil {
-		applyPerSubstep(d, d.occ32, c, dur)
-	} else {
-		applyPerSubstep(d, d.occ, c, dur)
-	}
-}
-
 // stateDiff describes the first difference between two devices' state,
 // bit for bit (telling −0 from +0), or returns "" when they are identical.
 func stateDiff(got, want *Device) string {
@@ -494,29 +485,17 @@ func stateDiff(got, want *Device) string {
 			return fmt.Sprintf("occ[%d] = %v, want %v", i, got.occ[i], want.occ[i])
 		}
 	}
-	for i := range want.occ32 {
-		if math.Float32bits(got.occ32[i]) != math.Float32bits(want.occ32[i]) {
-			return fmt.Sprintf("occ32[%d] = %v, want %v", i, got.occ32[i], want.occ32[i])
-		}
-	}
 	return ""
 }
 
 // phaseTestDevice returns a device on g with a random occupancy and some
 // permanent wear. Cell 0 holds −0, which the snapshot decoders accept.
-func phaseTestDevice(rng *rngx.Source, p Params, s Storage, g *cetGrid) *Device {
-	d := newDeviceOnGrid(p, s, g)
+func phaseTestDevice(rng *rngx.Source, p Params, g *cetGrid) *Device {
+	d := newDeviceOnGrid(p, g)
 	for i := range d.occ {
 		d.occ[i] = rng.Float64()
 	}
-	for i := range d.occ32 {
-		d.occ32[i] = float32(rng.Float64())
-	}
-	if d.occ != nil {
-		d.occ[0] = math.Copysign(0, -1)
-	} else {
-		d.occ32[0] = float32(math.Copysign(0, -1))
-	}
+	d.occ[0] = math.Copysign(0, -1)
 	d.precursorV, d.lockedV, d.age = 0.01*rng.Float64(), 0.005*rng.Float64(), 3600
 	return d
 }
@@ -542,11 +521,11 @@ func remainderOf(dur float64) float64 {
 
 // TestPhaseKernelMatchesPerSubstep is the differential guarantee of the
 // phase-scoped sweep: Apply and BatchApply must end bit-identical to the
-// per-substep path they replaced, and (for float64 storage) within 1e-12
-// of the naive applyReference, for every phase shape — sub-substep, exact
-// multiples, a remainder, and long phases — under stress and rest, in both
-// storage modes and whatever the kernel cache holds: nothing, the phase's
-// full-substep key, only its remainder key, or a full budget.
+// per-substep path they replaced, and within 1e-12 of the naive
+// applyReference, for every phase shape — sub-substep, exact multiples, a
+// remainder, and long phases — under stress and rest, whatever the kernel
+// cache holds: nothing, the phase's full-substep key, only its remainder
+// key, or a full budget.
 func TestPhaseKernelMatchesPerSubstep(t *testing.T) {
 	p := DefaultParams().Coarse()
 	conds := []Condition{
@@ -576,43 +555,39 @@ func TestPhaseKernelMatchesPerSubstep(t *testing.T) {
 				case cache == "remainder-key":
 					promote(g, captureAF, emitAF, dur) // the collapsed rest sweep
 				}
-				for _, s := range []Storage{StorageFloat64, StorageFloat32} {
-					label := fmt.Sprintf("%v for %g×maxSubstep, %s cache, %v", c, mult, cache, s)
+				label := fmt.Sprintf("%v for %g×maxSubstep, %s cache", c, mult, cache)
 
-					// Apply on one device.
-					d := phaseTestDevice(rng, p, s, g)
-					want := d.Clone()
-					naive := d.Clone()
-					d.Apply(c, dur)
-					applyPerSubstepDevice(want, c, dur)
-					if diff := stateDiff(d, want); diff != "" {
-						t.Fatalf("%s Apply: %s", label, diff)
+				// Apply on one device.
+				d := phaseTestDevice(rng, p, g)
+				want := d.Clone()
+				naive := d.Clone()
+				d.Apply(c, dur)
+				applyPerSubstep(want, c, dur)
+				if diff := stateDiff(d, want); diff != "" {
+					t.Fatalf("%s Apply: %s", label, diff)
+				}
+				applyReference(naive, c, dur)
+				for i := range d.occ {
+					if diff := math.Abs(d.occ[i] - naive.occ[i]); diff > 1e-12 {
+						t.Fatalf("%s: occ[%d] %g vs reference %g", label, i, d.occ[i], naive.occ[i])
 					}
-					if s == StorageFloat64 {
-						applyReference(naive, c, dur)
-						for i := range d.occ {
-							if diff := math.Abs(d.occ[i] - naive.occ[i]); diff > 1e-12 {
-								t.Fatalf("%s: occ[%d] %g vs reference %g", label, i, d.occ[i], naive.occ[i])
-							}
-						}
-						if diff := relDiff(d.ShiftV(), naive.ShiftV()); diff > 1e-12 {
-							t.Fatalf("%s: ShiftV %g vs reference %g (rel %g)", label, d.ShiftV(), naive.ShiftV(), diff)
-						}
-					}
+				}
+				if diff := relDiff(d.ShiftV(), naive.ShiftV()); diff > 1e-12 {
+					t.Fatalf("%s: ShiftV %g vs reference %g (rel %g)", label, d.ShiftV(), naive.ShiftV(), diff)
+				}
 
-					// BatchApply on a same-grid group.
-					group := make([]*Device, 3)
-					wants := make([]*Device, len(group))
-					for i := range group {
-						group[i] = phaseTestDevice(rng, p, s, g)
-						wants[i] = group[i].Clone()
-					}
-					BatchApply(group, c, dur)
-					for i := range group {
-						applyPerSubstepDevice(wants[i], c, dur)
-						if diff := stateDiff(group[i], wants[i]); diff != "" {
-							t.Fatalf("%s BatchApply member %d: %s", label, i, diff)
-						}
+				// BatchApply on a same-grid group.
+				group := make([]*Device, 3)
+				wants := make([]*Device, len(group))
+				for i := range group {
+					group[i] = phaseTestDevice(rng, p, g)
+					wants[i] = group[i].Clone()
+				}
+				BatchApply(group, c, dur)
+				for i := range group {
+					applyPerSubstep(wants[i], c, dur)
+					if diff := stateDiff(group[i], wants[i]); diff != "" {
+						t.Fatalf("%s BatchApply member %d: %s", label, i, diff)
 					}
 				}
 			}
@@ -643,9 +618,9 @@ func TestPhaseKernelConcurrentSharedGrid(t *testing.T) {
 					stress := Condition{GateVoltage: 1.0, Temp: units.Celsius(70 + float64(iter%5))}
 					rest := Condition{Temp: stress.Temp}
 					dur := []float64{2.5, 3.7, 1}[iter%3] * maxSubstep
-					devs := []*Device{phaseTestDevice(rng, p, StorageFloat64, g)}
+					devs := []*Device{phaseTestDevice(rng, p, g)}
 					if iter%2 == 1 {
-						devs = append(devs, phaseTestDevice(rng, p, StorageFloat64, g))
+						devs = append(devs, phaseTestDevice(rng, p, g))
 					}
 					wants := make([]*Device, len(devs))
 					for i, d := range devs {
@@ -654,8 +629,8 @@ func TestPhaseKernelConcurrentSharedGrid(t *testing.T) {
 					BatchApply(devs, stress, dur)
 					BatchApply(devs, rest, 4*maxSubstep-dur)
 					for i, d := range devs {
-						applyPerSubstepDevice(wants[i], stress, dur)
-						applyPerSubstepDevice(wants[i], rest, 4*maxSubstep-dur)
+						applyPerSubstep(wants[i], stress, dur)
+						applyPerSubstep(wants[i], rest, 4*maxSubstep-dur)
 						if diff := stateDiff(d, wants[i]); diff != "" {
 							errs <- fmt.Sprintf("%s cache, worker %d iter %d: %s", cache, w, iter, diff)
 							return

@@ -41,20 +41,13 @@ type Population struct {
 
 // NewPopulation draws n devices with the given variation. The draw is
 // deterministic in the rng.
-func NewPopulation(nominal Params, v Variation, n int, rng *rngx.Source) (*Population, error) {
-	return NewPopulationStorage(nominal, v, n, rng, StorageFloat64)
-}
-
-// NewPopulationStorage is NewPopulation with an explicit occupancy storage
-// mode; StorageFloat32 halves the population's resident occupancy bytes for
-// fleet-scale Monte Carlo studies.
 //
 // Varied draws produce n distinct Params, so their CET grids are built
 // privately: routing one-shot variation grids through the shared cache would
 // pound its mutex and evict fleet-pinned corners past the cache cap, for
 // entries nothing else will ever hit. Only an all-zero variation (identical
 // members) shares a cached grid.
-func NewPopulationStorage(nominal Params, v Variation, n int, rng *rngx.Source, s Storage) (*Population, error) {
+func NewPopulation(nominal Params, v Variation, n int, rng *rngx.Source) (*Population, error) {
 	if err := nominal.Validate(); err != nil {
 		return nil, err
 	}
@@ -81,7 +74,7 @@ func NewPopulationStorage(nominal Params, v Variation, n int, rng *rngx.Source, 
 			p.GenRateVPerSec = nominal.GenRateVPerSec * rng.LogNormal(0, v.GenRate)
 		}
 		if !varied {
-			dev, err := NewDeviceStorage(p, s)
+			dev, err := NewDevice(p)
 			if err != nil {
 				return nil, fmt.Errorf("bti: population member %d: %w", i, err)
 			}
@@ -91,7 +84,7 @@ func NewPopulationStorage(nominal Params, v Variation, n int, rng *rngx.Source, 
 		if err := p.Validate(); err != nil {
 			return nil, fmt.Errorf("bti: population member %d: %w", i, err)
 		}
-		pop.devices[i] = newDeviceOnGrid(p, s, newCETGrid(p))
+		pop.devices[i] = newDeviceOnGrid(p, newCETGrid(p))
 	}
 	return pop, nil
 }

@@ -11,57 +11,31 @@ import (
 // state: grid dimensions (as a compatibility check), the three
 // permanent-state floats, and the raw occupancy as little-endian floats.
 
-// deviceMagic tags the device framing with float64 occupancy;
-// deviceMagic32 tags the float32 variant (4-byte cells, half the
-// payload). The magic doubles as the storage-mode check: a restore
-// requires the payload's mode to match the receiving device's.
-const (
-	deviceMagic   = 'B'
-	deviceMagic32 = 'b'
-)
+// deviceMagic tags the device framing.
+const deviceMagic = 'B'
 
 // Snapshot serialises the device's mutable state. Restore it with Restore
-// on a device built from the same Params and storage mode. Float32 devices
-// emit 4-byte cells, halving the dominant payload.
+// on a device built from the same Params.
 func (d *Device) Snapshot() []byte {
-	stride, cells := 8, len(d.occ)
-	magic := byte(deviceMagic)
-	if d.occ32 != nil {
-		stride, cells = 4, len(d.occ32)
-		magic = deviceMagic32
-	}
-	buf := make([]byte, 0, 1+2*binary.MaxVarintLen64+24+stride*cells)
-	buf = append(buf, magic)
+	buf := make([]byte, 0, 1+2*binary.MaxVarintLen64+24+8*len(d.occ))
+	buf = append(buf, deviceMagic)
 	buf = binary.AppendUvarint(buf, uint64(d.params.GridCapture))
 	buf = binary.AppendUvarint(buf, uint64(d.params.GridEmission))
 	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(d.precursorV))
 	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(d.lockedV))
 	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(d.age))
-	if d.occ32 != nil {
-		for _, v := range d.occ32 {
-			buf = binary.LittleEndian.AppendUint32(buf, math.Float32bits(v))
-		}
-	} else {
-		for _, v := range d.occ {
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
-		}
+	for _, v := range d.occ {
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
 	}
 	return buf
 }
 
 // Restore rewinds the receiver from a Snapshot payload taken from a device
-// with the same grid dimensions and storage mode. A rejected payload leaves
-// the receiver untouched.
+// with the same grid dimensions. A rejected payload leaves the receiver
+// untouched.
 func (d *Device) Restore(data []byte) error {
-	if len(data) == 0 || (data[0] != deviceMagic && data[0] != deviceMagic32) {
+	if len(data) == 0 || data[0] != deviceMagic {
 		return fmt.Errorf("bti: restore: bad magic")
-	}
-	stride := 8
-	if data[0] == deviceMagic32 {
-		stride = 4
-	}
-	if (stride == 4) != (d.occ32 != nil) {
-		return fmt.Errorf("bti: restore: snapshot storage does not match device storage %v", d.Storage())
 	}
 	rest := data[1:]
 	nc, n := binary.Uvarint(rest)
@@ -79,8 +53,8 @@ func (d *Device) Restore(data []byte) error {
 			nc, ne, d.params.GridCapture, d.params.GridEmission)
 	}
 	cells := d.params.GridCapture * d.params.GridEmission
-	if len(rest) != 24+stride*cells {
-		return fmt.Errorf("bti: restore: payload %dB, want %dB", len(rest), 24+stride*cells)
+	if len(rest) != 24+8*cells {
+		return fmt.Errorf("bti: restore: payload %dB, want %dB", len(rest), 24+8*cells)
 	}
 	precursorV := math.Float64frombits(binary.LittleEndian.Uint64(rest[0:]))
 	lockedV := math.Float64frombits(binary.LittleEndian.Uint64(rest[8:]))
@@ -92,24 +66,12 @@ func (d *Device) Restore(data []byte) error {
 	// device untouched.
 	raw := rest[24:]
 	for i := 0; i < cells; i++ {
-		var v float64
-		if stride == 4 {
-			v = float64(math.Float32frombits(binary.LittleEndian.Uint32(raw[4*i:])))
-		} else {
-			v = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
-		}
-		if !(v >= 0 && v <= 1) {
+		if v := math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:])); !(v >= 0 && v <= 1) {
 			return fmt.Errorf("bti: restore: occupancy[%d] = %g outside [0,1]", i, v)
 		}
 	}
-	if stride == 4 {
-		for i := range d.occ32 {
-			d.occ32[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[4*i:]))
-		}
-	} else {
-		for i := range d.occ {
-			d.occ[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
-		}
+	for i := range d.occ {
+		d.occ[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
 	}
 	d.precursorV = precursorV
 	d.lockedV = lockedV

@@ -3,6 +3,7 @@ package bti
 import (
 	"bytes"
 	"math"
+	"strings"
 	"testing"
 
 	"deepheal/internal/units"
@@ -42,60 +43,20 @@ func TestSnapshotRejectsGarbage(t *testing.T) {
 			t.Fatalf("rejected payload of %d bytes changed the device", len(junk))
 		}
 	}
-}
 
-func TestSnapshotRoundTripFloat32(t *testing.T) {
-	d, err := NewDeviceStorage(DefaultParams(), StorageFloat32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d.Apply(StressAccel, units.Hours(10))
-	d.Apply(RecoverDeep, units.Hours(2))
-
-	r, err := NewDeviceStorage(DefaultParams(), StorageFloat32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Restore(d.Snapshot()); err != nil {
-		t.Fatal(err)
-	}
-	requireDeviceEqual(t, r, d, "float32 restore")
-	d.Apply(StressAccel, units.Hours(5))
-	r.Apply(StressAccel, units.Hours(5))
-	requireDeviceEqual(t, r, d, "float32 post-restore evolution")
-}
-
-func TestCompactSnapshotFloat32RoundTripAndSize(t *testing.T) {
-	d, err := NewDeviceStorage(DefaultParams(), StorageFloat32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d.Apply(StressAccel, units.Hours(10))
-	d64 := MustNewDevice(DefaultParams())
-	d64.Apply(StressAccel, units.Hours(10))
-
-	blob := d.Snapshot()
-	blob64 := d64.Snapshot()
-	// The occupancy payload dominates; float32 must halve it.
-	if len(blob) >= len(blob64)*2/3 {
-		t.Fatalf("float32 snapshot %dB not well below float64's %dB", len(blob), len(blob64))
-	}
-	r, err := NewDeviceStorage(DefaultParams(), StorageFloat32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Restore(blob); err != nil {
-		t.Fatal(err)
-	}
-	requireDeviceEqual(t, r, d, "float32 restore")
-
-	// Storage modes must not cross-restore: the payload stride is baked into
-	// the framing.
-	if err := d64.Restore(blob); err == nil {
-		t.Error("float64 device accepted a float32 payload")
-	}
-	if err := r.Restore(blob64); err == nil {
-		t.Error("float32 device accepted a float64 payload")
+	// 'b' once tagged float32 occupancy; it is now just a wrong magic, at
+	// either cell width.
+	cells := len(d.occ)
+	head := len(before) - 8*cells
+	for _, n := range []int{head + 8*cells, head + 4*cells} {
+		junk := append([]byte{'b'}, before[1:n]...)
+		err := d.Restore(junk)
+		if err == nil || !strings.Contains(err.Error(), "bad magic") {
+			t.Errorf("'b' payload of %d bytes: err = %v, want bad magic", len(junk), err)
+		}
+		if !bytes.Equal(d.Snapshot(), before) {
+			t.Fatalf("rejected 'b' payload of %d bytes changed the device", len(junk))
+		}
 	}
 }
 

@@ -11,14 +11,13 @@ import (
 )
 
 // Floorplan is the structure description of the many-core die: every
-// assumption about the simulated silicon that used to be hard-coded across
-// DefaultConfig/NewModel lives here, in one value, so other victim
-// structures (the scenario zoo in internal/scenario) can declare their own
-// topology against the same substrate models instead of inheriting the
-// chip's. Config/EMParams/PDN materialise the plan into the existing
-// simulator types; the values they produce are byte-identical to the
-// pre-extraction constants, which is what keeps every campaign content hash
-// (and therefore every golden experiment output) unchanged.
+// assumption about the simulated silicon lives here, in one value that only
+// the chip simulator consumes. The other victim structures (the scenario
+// zoo in internal/scenario) declare their own topology against the same
+// substrate models instead of re-expressing the chip. Config/EMParams/PDN
+// materialise the plan into the simulator types; the values they produce
+// are pinned by test, which is what keeps every campaign content hash (and
+// therefore every golden experiment output) unchanged.
 type Floorplan struct {
 	// Rows×Cols cores, one per thermal tile and PDN node.
 	Rows, Cols int

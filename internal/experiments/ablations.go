@@ -100,15 +100,6 @@ func PlanAblationEMFrequency() campaign.Task {
 	return t
 }
 
-// RunAblationEMFrequency sweeps the bipolar switching period.
-func RunAblationEMFrequency(ctx context.Context) (*EMFreqResult, error) {
-	v, err := campaign.RunTask(ctx, PlanAblationEMFrequency())
-	if err != nil {
-		return nil, fmt.Errorf("experiments: %w", err)
-	}
-	return v.(*EMFreqResult), nil
-}
-
 // BTICondPoint is one (voltage, temperature) recovery condition.
 type BTICondPoint struct {
 	Cond     bti.Condition
@@ -176,15 +167,6 @@ func PlanAblationBTIConditions() campaign.Task {
 		return res, nil
 	}
 	return t
-}
-
-// RunAblationBTIConditions sweeps the recovery condition grid.
-func RunAblationBTIConditions(ctx context.Context) (*BTICondResult, error) {
-	v, err := campaign.RunTask(ctx, PlanAblationBTIConditions())
-	if err != nil {
-		return nil, fmt.Errorf("experiments: %w", err)
-	}
-	return v.(*BTICondResult), nil
 }
 
 // SchedulePoint is one recovery-interval setting of the A3 ablation.
@@ -271,13 +253,4 @@ func PlanAblationSchedule() campaign.Task {
 		return res, nil
 	}
 	return t
-}
-
-// RunAblationSchedule sweeps recovery interval length and concurrency.
-func RunAblationSchedule(ctx context.Context) (*ScheduleResult, error) {
-	v, err := campaign.RunTask(ctx, PlanAblationSchedule())
-	if err != nil {
-		return nil, fmt.Errorf("experiments: %w", err)
-	}
-	return v.(*ScheduleResult), nil
 }

@@ -1,13 +1,13 @@
-// Package experiments contains one runner per table and figure of the
+// Package experiments contains one experiment per table and figure of the
 // paper's evaluation, plus the ablations called out in DESIGN.md. Each
 // experiment declares a campaign task: the set of independent simulation
 // points it needs, plus an assemble step that combines them into a typed
 // result rendered as the paper-style table/series. The CLI (cmd/deepheal)
 // executes the plans on one shared campaign engine (parallel, memoised,
 // resumable); the benchmark harness (bench_test.go) and the integration
-// tests call the typed runners, which execute the same plans serially — so
-// the numbers recorded in EXPERIMENTS.md are produced by exactly one code
-// path either way.
+// tests call Run, which executes the same plans serially — so the numbers
+// recorded in EXPERIMENTS.md are produced by exactly one code path either
+// way.
 package experiments
 
 import (
@@ -29,9 +29,6 @@ type Result interface {
 	Format() string
 }
 
-// Runner executes one experiment.
-type Runner func(ctx context.Context) (Result, error)
-
 // Entry is one registered experiment: a stable identifier plus the campaign
 // plan that computes it.
 type Entry struct {
@@ -52,11 +49,6 @@ func (e Entry) Run(ctx context.Context) (Result, error) {
 		return nil, fmt.Errorf("experiments: %s assembled a %T, not a Result", e.ID, v)
 	}
 	return r, nil
-}
-
-// Runner adapts the entry to the Runner function type.
-func (e Entry) Runner() Runner {
-	return func(ctx context.Context) (Result, error) { return e.Run(ctx) }
 }
 
 // registry is the package-level experiment table, in presentation order.

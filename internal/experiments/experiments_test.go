@@ -7,6 +7,20 @@ import (
 	"testing"
 )
 
+// runAs executes experiment id through Run and returns its typed result.
+func runAs[R Result](tb testing.TB, id string) R {
+	tb.Helper()
+	res, err := Run(context.Background(), id)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	r, ok := res.(R)
+	if !ok {
+		tb.Fatalf("%s assembled a %T", id, res)
+	}
+	return r
+}
+
 func TestRegistryRunsEverything(t *testing.T) {
 	if len(IDs()) < 11 {
 		t.Fatalf("registry too small: %v", IDs())
@@ -44,10 +58,7 @@ func TestAllResultsFormat(t *testing.T) {
 }
 
 func TestTable1MatchesPaperModel(t *testing.T) {
-	res, err := RunTable1(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runAs[*Table1Result](t, "table1")
 	if len(res.Rows) != 4 {
 		t.Fatalf("rows = %d", len(res.Rows))
 	}
@@ -66,10 +77,7 @@ func TestTable1MatchesPaperModel(t *testing.T) {
 }
 
 func TestFig4BalancedPatternStaysFlat(t *testing.T) {
-	res, err := RunFig4(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runAs[*Fig4Result](t, "fig4")
 	if len(res.Patterns) != 3 {
 		t.Fatalf("patterns = %d", len(res.Patterns))
 	}
@@ -101,10 +109,7 @@ func TestFig4BalancedPatternStaysFlat(t *testing.T) {
 }
 
 func TestFig5Shape(t *testing.T) {
-	res, err := RunFig5(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runAs[*Fig5Result](t, "fig5")
 	if res.NucleationMin < 300 || res.NucleationMin > 430 {
 		t.Errorf("nucleation at %.0f min, paper ≈360", res.NucleationMin)
 	}
@@ -130,10 +135,7 @@ func TestFig5Shape(t *testing.T) {
 }
 
 func TestFig6Shape(t *testing.T) {
-	res, err := RunFig6(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runAs[*Fig6Result](t, "fig6")
 	if !res.FullRecovery {
 		t.Errorf("early recovery left %.3f Ω, paper shows full recovery", res.ResidualOhm)
 	}
@@ -146,10 +148,7 @@ func TestFig6Shape(t *testing.T) {
 }
 
 func TestFig7Shape(t *testing.T) {
-	res, err := RunFig7(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runAs[*Fig7Result](t, "fig7")
 	delay := res.ScheduledNucleationMin / res.BaselineNucleationMin
 	if delay < 2.5 || delay > 4.5 {
 		t.Errorf("nucleation delay %.1fx, paper ≈3x", delay)
@@ -160,10 +159,7 @@ func TestFig7Shape(t *testing.T) {
 }
 
 func TestFig9Shape(t *testing.T) {
-	res, err := RunFig9(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runAs[*Fig9Result](t, "fig9")
 	// (a) current reversal at the same magnitude.
 	if res.EM.GridCurrent >= 0 || res.Normal.GridCurrent <= 0 {
 		t.Error("EM recovery must reverse the grid current")
@@ -184,10 +180,7 @@ func TestFig9Shape(t *testing.T) {
 }
 
 func TestFig10Shape(t *testing.T) {
-	res, err := RunFig10(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runAs[*Fig10Result](t, "fig10")
 	if len(res.Points) != 5 {
 		t.Fatalf("points = %d", len(res.Points))
 	}
@@ -204,10 +197,7 @@ func TestFig10Shape(t *testing.T) {
 }
 
 func TestFig12Shape(t *testing.T) {
-	res, err := RunFig12(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runAs[*Fig12Result](t, "fig12")
 	if len(res.Policies) != 3 {
 		t.Fatalf("policies = %d", len(res.Policies))
 	}
@@ -228,10 +218,7 @@ func TestFig12Shape(t *testing.T) {
 }
 
 func TestAblationEMFrequency(t *testing.T) {
-	res, err := RunAblationEMFrequency(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runAs[*EMFreqResult](t, "ablation-em-freq")
 	if len(res.Points) < 4 {
 		t.Fatalf("points = %d", len(res.Points))
 	}
@@ -253,10 +240,7 @@ func TestAblationEMFrequency(t *testing.T) {
 }
 
 func TestAblationBTIConditions(t *testing.T) {
-	res, err := RunAblationBTIConditions(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runAs[*BTICondResult](t, "ablation-bti-cond")
 	// Monotone in both knobs.
 	for i := range res.TempsC {
 		for j := range res.Volts {
@@ -278,10 +262,7 @@ func TestAblationBTIConditions(t *testing.T) {
 }
 
 func TestAblationSchedule(t *testing.T) {
-	res, err := RunAblationSchedule(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runAs[*ScheduleResult](t, "ablation-schedule")
 	if len(res.Points) < 5 {
 		t.Fatalf("points = %d", len(res.Points))
 	}

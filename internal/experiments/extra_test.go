@@ -1,15 +1,11 @@
 package experiments
 
 import (
-	"context"
 	"testing"
 )
 
 func TestPolicyZooShape(t *testing.T) {
-	res, err := RunPolicyZoo(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runAs[*PolicyZooResult](t, "ablation-policies")
 	if len(res.Reports) != 6 {
 		t.Fatalf("reports = %d", len(res.Reports))
 	}
@@ -48,10 +44,7 @@ func TestPolicyZooShape(t *testing.T) {
 }
 
 func TestRebalanceAblationOrdering(t *testing.T) {
-	res, err := RunAblationRebalance(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runAs[*RebalanceResult](t, "ablation-rebalance")
 	if len(res.Rows) != 4 {
 		t.Fatalf("rows = %d", len(res.Rows))
 	}
@@ -75,10 +68,7 @@ func TestRebalanceAblationOrdering(t *testing.T) {
 }
 
 func TestVariationStudy(t *testing.T) {
-	res, err := RunVariation(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runAs[*VariationResult](t, "variation")
 	if res.StressOnly.StdV <= 0 || res.DeepHealed.StdV <= 0 {
 		t.Error("population spread missing")
 	}

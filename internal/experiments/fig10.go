@@ -81,12 +81,3 @@ func PlanFig10() campaign.Task {
 		},
 	}
 }
-
-// RunFig10 executes the load-size sweep.
-func RunFig10(ctx context.Context) (*Fig10Result, error) {
-	v, err := campaign.RunTask(ctx, PlanFig10())
-	if err != nil {
-		return nil, fmt.Errorf("experiments: %w", err)
-	}
-	return v.(*Fig10Result), nil
-}

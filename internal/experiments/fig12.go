@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
 	"deepheal/internal/campaign"
@@ -139,13 +138,4 @@ func PlanFig12() campaign.Task {
 			return res, nil
 		},
 	}
-}
-
-// RunFig12 executes the three scheduling policies over the default system.
-func RunFig12(ctx context.Context) (*Fig12Result, error) {
-	v, err := campaign.RunTask(ctx, PlanFig12())
-	if err != nil {
-		return nil, fmt.Errorf("experiments: %w", err)
-	}
-	return v.(*Fig12Result), nil
 }

@@ -108,13 +108,3 @@ func PlanFig4() campaign.Task {
 	}
 	return t
 }
-
-// RunFig4 executes the cyclic stress/deep-recovery experiment for the
-// 1:1, 2:1 and 4:1 duty patterns.
-func RunFig4(ctx context.Context) (*Fig4Result, error) {
-	v, err := campaign.RunTask(ctx, PlanFig4())
-	if err != nil {
-		return nil, fmt.Errorf("experiments: %w", err)
-	}
-	return v.(*Fig4Result), nil
-}

@@ -149,12 +149,3 @@ func PlanFig5() campaign.Task {
 		},
 	}
 }
-
-// RunFig5 executes the late-recovery EM experiment.
-func RunFig5(ctx context.Context) (*Fig5Result, error) {
-	v, err := campaign.RunTask(ctx, PlanFig5())
-	if err != nil {
-		return nil, fmt.Errorf("experiments: %w", err)
-	}
-	return v.(*Fig5Result), nil
-}

@@ -70,16 +70,6 @@ func PlanFig6() campaign.Task {
 	}
 }
 
-// RunFig6 executes the early-recovery EM experiment with a long reverse
-// phase to expose the reverse-EM hazard the paper points out.
-func RunFig6(ctx context.Context) (*Fig6Result, error) {
-	v, err := campaign.RunTask(ctx, PlanFig6())
-	if err != nil {
-		return nil, fmt.Errorf("experiments: %w", err)
-	}
-	return v.(*Fig6Result), nil
-}
-
 func runFig6Protocol(ctx context.Context) (*Fig6Result, error) {
 	p := em.DefaultParams()
 	res := &Fig6Result{FreshOhm: p.Resistance0(emTemp)}

@@ -145,12 +145,3 @@ func PlanFig7() campaign.Task {
 		},
 	}
 }
-
-// RunFig7 executes the proactive periodic-recovery EM experiment.
-func RunFig7(ctx context.Context) (*Fig7Result, error) {
-	v, err := campaign.RunTask(ctx, PlanFig7())
-	if err != nil {
-		return nil, fmt.Errorf("experiments: %w", err)
-	}
-	return v.(*Fig7Result), nil
-}

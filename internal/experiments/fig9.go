@@ -65,15 +65,6 @@ func PlanFig9() campaign.Task {
 	}
 }
 
-// RunFig9 executes the assist circuitry functional simulation.
-func RunFig9(ctx context.Context) (*Fig9Result, error) {
-	v, err := campaign.RunTask(ctx, PlanFig9())
-	if err != nil {
-		return nil, fmt.Errorf("experiments: %w", err)
-	}
-	return v.(*Fig9Result), nil
-}
-
 func runFig9Modes(ctx context.Context) (*Fig9Result, error) {
 	a, err := assist.New(assist.DefaultConfig())
 	if err != nil {

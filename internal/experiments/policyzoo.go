@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
 	"deepheal/internal/campaign"
@@ -107,13 +106,4 @@ func PlanPolicyZoo() campaign.Task {
 		return res, nil
 	}
 	return t
-}
-
-// RunPolicyZoo executes every policy over the asymmetric system.
-func RunPolicyZoo(ctx context.Context) (*PolicyZooResult, error) {
-	v, err := campaign.RunTask(ctx, PlanPolicyZoo())
-	if err != nil {
-		return nil, fmt.Errorf("experiments: %w", err)
-	}
-	return v.(*PolicyZooResult), nil
 }

@@ -121,12 +121,3 @@ func PlanAblationRebalance() campaign.Task {
 	}
 	return t
 }
-
-// RunAblationRebalance executes the idle-time strategy comparison.
-func RunAblationRebalance(ctx context.Context) (*RebalanceResult, error) {
-	v, err := campaign.RunTask(ctx, PlanAblationRebalance())
-	if err != nil {
-		return nil, fmt.Errorf("experiments: %w", err)
-	}
-	return v.(*RebalanceResult), nil
-}

@@ -63,13 +63,3 @@ func PlanSizingStudy() campaign.Task {
 		},
 	}
 }
-
-// RunSizingStudy sizes the assist circuitry across load counts at a 15 %
-// delay budget.
-func RunSizingStudy(ctx context.Context) (*SizingStudyResult, error) {
-	v, err := campaign.RunTask(ctx, PlanSizingStudy())
-	if err != nil {
-		return nil, fmt.Errorf("experiments: %w", err)
-	}
-	return v.(*SizingStudyResult), nil
-}

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
 	"deepheal/internal/bti"
@@ -82,13 +81,4 @@ func PlanTable1() campaign.Task {
 		return res, nil
 	}
 	return t
-}
-
-// RunTable1 executes the Table I protocol on the calibrated BTI model.
-func RunTable1(ctx context.Context) (*Table1Result, error) {
-	v, err := campaign.RunTask(ctx, PlanTable1())
-	if err != nil {
-		return nil, fmt.Errorf("experiments: %w", err)
-	}
-	return v.(*Table1Result), nil
 }

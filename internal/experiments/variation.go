@@ -111,12 +111,3 @@ func PlanVariation() campaign.Task {
 		},
 	}
 }
-
-// RunVariation executes the population study.
-func RunVariation(ctx context.Context) (*VariationResult, error) {
-	v, err := campaign.RunTask(ctx, PlanVariation())
-	if err != nil {
-		return nil, fmt.Errorf("experiments: %w", err)
-	}
-	return v.(*VariationResult), nil
-}

@@ -176,11 +176,6 @@ func PlanZooDecoder() campaign.Task {
 	return planStructure("decoder", "decoder", "delay", decoderSteps, decoderSeed, decoderSchedules)
 }
 
-// RunZooDecoder executes the decoder study serially.
-func RunZooDecoder(ctx context.Context) (*StructureResult, error) {
-	return runStructure(ctx, PlanZooDecoder())
-}
-
 // DNN weight-memory study shape: 480 steps of back-to-back inference,
 // healed never, every two days, or every 12 hours.
 const (
@@ -198,18 +193,4 @@ var dnnMemSchedules = []zooSchedule{
 // duty cycles, bit-flip margin readout.
 func PlanZooDNNMem() campaign.Task {
 	return planStructure("dnnmem", "dnnmem", "margin", dnnMemSteps, dnnMemSeed, dnnMemSchedules)
-}
-
-// RunZooDNNMem executes the weight-memory study serially.
-func RunZooDNNMem(ctx context.Context) (*StructureResult, error) {
-	return runStructure(ctx, PlanZooDNNMem())
-}
-
-// runStructure executes a structure plan serially and types the result.
-func runStructure(ctx context.Context, task campaign.Task) (*StructureResult, error) {
-	v, err := campaign.RunTask(ctx, task)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: %w", err)
-	}
-	return v.(*StructureResult), nil
 }

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
 	"deepheal/internal/campaign"
@@ -130,13 +129,4 @@ func PlanZooMultiplier() campaign.Task {
 			return res, nil
 		},
 	}
-}
-
-// RunZooMultiplier executes the Monte Carlo sweep serially.
-func RunZooMultiplier(ctx context.Context) (*MultiplierResult, error) {
-	v, err := campaign.RunTask(ctx, PlanZooMultiplier())
-	if err != nil {
-		return nil, fmt.Errorf("experiments: %w", err)
-	}
-	return v.(*MultiplierResult), nil
 }

@@ -102,6 +102,19 @@ type Schedule struct {
 	Key         string
 }
 
+// validate reports why a schedule cannot run as written: a probability
+// outside [0,1] — NaN included, which no draw is ever below, so the site
+// would silently never fire — or a negative delay, which stalls nothing.
+func (s Schedule) validate() error {
+	if !(s.Prob >= 0 && s.Prob <= 1) {
+		return fmt.Errorf("probability %g outside [0,1]", s.Prob)
+	}
+	if s.Delay < 0 {
+		return fmt.Errorf("delay %v is negative", s.Delay)
+	}
+	return nil
+}
+
 type siteState struct {
 	sched Schedule
 	hits  atomic.Uint64
@@ -123,8 +136,8 @@ func New(seed uint64, plan map[Site]Schedule) (*Injector, error) {
 		if !knownSite(site) {
 			return nil, fmt.Errorf("faultinject: unknown site %q", site)
 		}
-		if sched.Prob < 0 || sched.Prob > 1 {
-			return nil, fmt.Errorf("faultinject: site %q probability %g outside [0,1]", site, sched.Prob)
+		if err := sched.validate(); err != nil {
+			return nil, fmt.Errorf("faultinject: site %q: %v", site, err)
 		}
 		inj.sites[site] = &siteState{sched: sched}
 	}
@@ -284,7 +297,7 @@ func (f *Fault) Error() string {
 //	p=0.25       per-hit keyed probability in [0,1]
 //	occ=1+4+9    1-based occurrence indices that always fire
 //	max=3        cap on total fires at the site
-//	delay=200ms  stall duration (stall sites)
+//	delay=200ms  non-negative stall duration (stall sites)
 //	key=fig4/a   only probes whose key contains this substring are eligible
 //
 // A bare `site` clause with no options fires on every hit (p=1), as does a
@@ -320,9 +333,6 @@ func ParseSpec(spec string) (map[Site]Schedule, error) {
 			switch k {
 			case "p":
 				sched.Prob, err = strconv.ParseFloat(v, 64)
-				if err == nil && (sched.Prob < 0 || sched.Prob > 1) {
-					err = fmt.Errorf("probability %g outside [0,1]", sched.Prob)
-				}
 			case "occ":
 				for _, part := range strings.Split(v, "+") {
 					var o uint64
@@ -348,6 +358,9 @@ func ParseSpec(spec string) (map[Site]Schedule, error) {
 			if err != nil {
 				return nil, fmt.Errorf("faultinject: site %q: %v", site, err)
 			}
+		}
+		if err := sched.validate(); err != nil {
+			return nil, fmt.Errorf("faultinject: site %q: %v", site, err)
 		}
 		if sched.Prob == 0 && len(sched.Occurrences) == 0 {
 			// No trigger given (e.g. only key= or delay=): fire on every

@@ -2,6 +2,7 @@ package faultinject
 
 import (
 	"errors"
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -136,8 +137,15 @@ func TestNewRejectsBadPlans(t *testing.T) {
 	if _, err := New(0, map[Site]Schedule{"nope": {Prob: 1}}); err == nil {
 		t.Error("unknown site accepted")
 	}
-	if _, err := New(0, map[Site]Schedule{SitePointError: {Prob: 1.5}}); err == nil {
-		t.Error("probability > 1 accepted")
+	for _, sched := range []Schedule{
+		{Prob: 1.5},
+		{Prob: math.NaN()},
+		{Prob: math.Inf(1)},
+		{Prob: 1, Delay: -time.Second},
+	} {
+		if _, err := New(0, map[Site]Schedule{SitePointStall: sched}); err == nil {
+			t.Errorf("schedule %+v accepted", sched)
+		}
 	}
 }
 
@@ -162,6 +170,8 @@ func TestParseSpec(t *testing.T) {
 	for _, bad := range []string{
 		"", "unknown-site:p=1", "point-error:p=2", "point-error:q=1",
 		"point-error:occ=0", "point-error:p", "point-error:p=1;point-error:p=1",
+		"point-error:p=NaN", "point-error:p=nan", "point-error:p=+Inf",
+		"point-stall:delay=-1s",
 	} {
 		if _, err := ParseSpec(bad); err == nil {
 			t.Errorf("spec %q accepted", bad)
@@ -254,4 +264,28 @@ func TestParseSpecKeyOption(t *testing.T) {
 	if _, err := ParseSpec("worker-die:key="); err == nil {
 		t.Error("empty key filter accepted")
 	}
+}
+
+// FuzzParseSpec feeds arbitrary specs to the CLI parser. It must never
+// panic, and every plan it accepts must also be accepted by New — the
+// parser may not hand the injector a schedule that cannot run as written.
+func FuzzParseSpec(f *testing.F) {
+	for _, seed := range []string{
+		"point-error:p=0.25,max=3;worker-panic:occ=2+5;point-stall:p=0.5,delay=200ms;cg-diverge",
+		"worker-die:key=fig4/aged;coordinator-die:occ=2",
+		"", "unknown-site:p=1", "point-error:p=2", "point-error:q=1",
+		"point-error:occ=0", "point-error:p", "point-error:p=1;point-error:p=1",
+		"point-error:p=NaN", "point-stall:delay=-1s", "worker-die:key=",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		plan, err := ParseSpec(spec)
+		if err != nil {
+			return
+		}
+		if _, err := New(1, plan); err != nil {
+			t.Fatalf("ParseSpec(%q) accepted a plan New refuses: %v", spec, err)
+		}
+	})
 }

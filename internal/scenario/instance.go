@@ -19,13 +19,13 @@ type Instance struct {
 	devices []*bti.Device
 	// cached marks devices holding a shared-cache grid reference (unvaried
 	// draws); Close releases exactly those. Varied draws sit on private
-	// grids (see bti.NewPopulationStorage) and need no bookkeeping.
+	// grids (see bti.NewPopulation) and need no bookkeeping.
 	cached []bool
 	fresh  float64
 }
 
 // New builds the structure's devices. Groups with process variation draw
-// per-device Params through bti.NewPopulationStorage — one rng stream per
+// per-device Params through bti.NewPopulation — one rng stream per
 // group, split from seed, so adding a group never perturbs another group's
 // draws — which routes one-shot varied grids away from the shared cache
 // (the PR 7 grid-churn rule). Unvaried groups acquire the shared cached
@@ -53,8 +53,7 @@ func New(d *Description, seed int64) (*Instance, error) {
 			return nil, fmt.Errorf("scenario %s: group %s has no devices", d.Name, g.Name)
 		}
 		if varied {
-			pop, err := bti.NewPopulationStorage(g.Params, d.Variation, len(members),
-				root.Split(int64(gi)), bti.StorageFloat64)
+			pop, err := bti.NewPopulation(g.Params, d.Variation, len(members), root.Split(int64(gi)))
 			if err != nil {
 				return nil, fmt.Errorf("scenario %s: group %s: %w", d.Name, g.Name, err)
 			}
@@ -64,7 +63,7 @@ func New(d *Description, seed int64) (*Instance, error) {
 			continue
 		}
 		for _, di := range members {
-			dev, err := bti.NewDeviceStorage(g.Params, bti.StorageFloat64)
+			dev, err := bti.NewDevice(g.Params)
 			if err != nil {
 				return nil, fmt.Errorf("scenario %s: group %s: %w", d.Name, g.Name, err)
 			}

@@ -9,12 +9,10 @@
 // structure is — the paper's recovery-activation argument is
 // structure-agnostic, and this layer is where that shows.
 //
-// The many-core chip that internal/core simulates is itself just the first
-// registered scenario (manycore.go): its floorplan constants now live in
-// core.Floorplan and are consumed by both the full chip simulator and the
-// scenario re-expression. New structures (decoder, DNN weight memory,
-// multiplier) register alongside it and become campaign experiments with no
-// changes to core.
+// The many-core chip is not a scenario: internal/core simulates it in
+// full (thermal grid, PDN and EM dynamics), which a static description
+// could only approximate. The registered structures (decoder, DNN weight
+// memory, multiplier) become campaign experiments with no changes to core.
 package scenario
 
 import (

@@ -9,7 +9,6 @@ import (
 
 	"deepheal/internal/bti"
 	"deepheal/internal/campaign"
-	"deepheal/internal/core"
 	"deepheal/internal/units"
 	"deepheal/internal/workload"
 )
@@ -19,7 +18,7 @@ func TestRegistryNamesSortedAndComplete(t *testing.T) {
 	if !sort.StringsAreSorted(names) {
 		t.Errorf("Names() not sorted: %v", names)
 	}
-	for _, want := range []string{"decoder", "dnnmem", "manycore", "multiplier"} {
+	for _, want := range []string{"decoder", "dnnmem", "multiplier"} {
 		if _, ok := Lookup(want); !ok {
 			t.Errorf("scenario %q not registered", want)
 		}
@@ -32,44 +31,6 @@ func TestRegisteredDescriptionsValidate(t *testing.T) {
 		if err := d.Validate(); err != nil {
 			t.Errorf("%s: %v", name, err)
 		}
-	}
-}
-
-// TestManyCoreMatchesFloorplan pins the chip re-expression to the same
-// floorplan the full simulator materialises its Config from: the zoo's view
-// of the chip must not drift from the chip itself.
-func TestManyCoreMatchesFloorplan(t *testing.T) {
-	d, ok := Lookup("manycore")
-	if !ok {
-		t.Fatal("manycore not registered")
-	}
-	cfg := core.DefaultConfig()
-	if len(d.Devices) != cfg.NumCores() {
-		t.Errorf("device count %d != core count %d", len(d.Devices), cfg.NumCores())
-	}
-	if d.StepSeconds != cfg.StepSeconds {
-		t.Errorf("step seconds %v != %v", d.StepSeconds, cfg.StepSeconds)
-	}
-	g := d.Groups[0]
-	if !reflect.DeepEqual(g.Params, cfg.BTI) {
-		t.Errorf("group params diverged from chip BTI params")
-	}
-	if g.Stress.GateVoltage != cfg.ActiveGateV {
-		t.Errorf("stress gate %v != ActiveGateV %v", g.Stress.GateVoltage, cfg.ActiveGateV)
-	}
-	if g.Heal.GateVoltage != cfg.RecoveryV {
-		t.Errorf("heal gate %v != RecoveryV %v", g.Heal.GateVoltage, cfg.RecoveryV)
-	}
-	ro, ok := d.Readout.(CriticalPath)
-	if !ok {
-		t.Fatalf("manycore readout is %T, want CriticalPath", d.Readout)
-	}
-	if ro.Vdd != cfg.DelayVdd || ro.Vth0 != cfg.DelayVth0 || ro.Alpha != cfg.DelayAlpha {
-		t.Errorf("delay model (%v,%v,%v) != chip (%v,%v,%v)",
-			ro.Vdd, ro.Vth0, ro.Alpha, cfg.DelayVdd, cfg.DelayVth0, cfg.DelayAlpha)
-	}
-	if d.Devices[0].Duty.At(0) != core.DefaultFloorplan().DefaultWorkload().At(0) {
-		t.Errorf("duty diverged from the floorplan default workload")
 	}
 }
 
