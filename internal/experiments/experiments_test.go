@@ -5,6 +5,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"deepheal/internal/golden"
 )
 
 // runAs executes experiment id through Run and returns its typed result.
@@ -53,6 +55,7 @@ func TestAllResultsFormat(t *testing.T) {
 			if strings.Contains(out, "NaN") {
 				t.Error("output contains NaN")
 			}
+			golden.Check(t, "testdata/format.sha256", id, []byte(out))
 		})
 	}
 }
