@@ -22,9 +22,15 @@ var batchHistory = []struct {
 	{RecoverAccelerated, 900},
 }
 
-// requireDeviceEqual asserts two devices carry bit-identical mutable state.
+// requireDeviceEqual asserts two devices carry bit-identical mutable state,
+// each with its stored shift in step with its occupancy.
 func requireDeviceEqual(t *testing.T, got, want *Device, label string) {
 	t.Helper()
+	for _, d := range []*Device{got, want} {
+		if diff := shiftDiff(d); diff != "" {
+			t.Fatalf("%s: %s", label, diff)
+		}
+	}
 	if got.precursorV != want.precursorV || got.lockedV != want.lockedV || got.age != want.age {
 		t.Fatalf("%s: permanent state diverged: (%v,%v,%v) vs (%v,%v,%v)", label,
 			got.precursorV, got.lockedV, got.age, want.precursorV, want.lockedV, want.age)

@@ -39,6 +39,20 @@ func BenchmarkRecoveryFraction(b *testing.B) {
 	}
 }
 
+// BenchmarkKernelMissNotFull measures one first-sight cache lookup on a
+// grid whose kernel budget still has room: the miss takes the write lock and
+// records the key in the promotion map, which empties every maxSeenKeys
+// keys — the per-substep path of a die whose per-tile keys never recur.
+func BenchmarkKernelMissNotFull(b *testing.B) {
+	g := newCETGrid(DefaultParams().Coarse())
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if g.kernel(1, 1, 1+float64(i), 1) != nil {
+			b.Fatal("a first-sight key returned a kernel")
+		}
+	}
+}
+
 // fullCacheGrid returns a private grid for p (the process-wide cache stays
 // untouched for the other benchmarks and tests) whose kernel-cache float
 // budget is exhausted up front by admitting distinct keys. Sweeps on it run

@@ -15,6 +15,7 @@ type Device struct {
 	params Params
 	grid   *cetGrid
 	occ    []float64 // CET occupancy, [0,1] per cell
+	shift  float64   // recoverable shift of occ, kept by every sweep
 
 	precursorV float64 // P1: annealable permanent precursor (V)
 	lockedV    float64 // P2: locked permanent component (V)
@@ -51,16 +52,15 @@ func MustNewDevice(p Params) *Device {
 // Params returns the device's parameter set.
 func (d *Device) Params() Params { return d.params }
 
-// recoverable returns the trap-ensemble shift.
-func (d *Device) recoverable() float64 { return gridShift(d.grid, d.occ) }
-
 // ShiftV returns the total threshold-voltage shift in volts.
 func (d *Device) ShiftV() float64 {
-	return d.recoverable() + d.precursorV + d.lockedV
+	return d.shift + d.precursorV + d.lockedV
 }
 
 // RecoverableV returns the trap-ensemble (recoverable) part of the shift.
-func (d *Device) RecoverableV() float64 { return d.recoverable() }
+// The sweep that last moved the occupancy computed it (see kernel.go), so
+// reading it costs no pass over the grid.
+func (d *Device) RecoverableV() float64 { return d.shift }
 
 // PermanentV returns the permanent part of the shift (precursor + locked).
 func (d *Device) PermanentV() float64 { return d.precursorV + d.lockedV }
@@ -100,7 +100,7 @@ func (d *Device) Reset() {
 	for i := range d.occ {
 		d.occ[i] = 0
 	}
-	d.precursorV, d.lockedV, d.age = 0, 0, 0
+	d.shift, d.precursorV, d.lockedV, d.age = 0, 0, 0, 0
 }
 
 // maxSubstep bounds the integration step so the permanent-component
@@ -175,7 +175,7 @@ func applyPhase(devs []*Device, c Condition, dur, observeEvery float64, observe 
 				ps.sweep(devs, step)
 			}
 			for _, d := range devs {
-				d.stepPermanent(c, emitAF, step)
+				d.stepPermanent(c, captureAF, emitAF, step)
 				d.age += step
 			}
 			elapsed += step
@@ -207,10 +207,11 @@ func (d *Device) meanOccupancy() float64 {
 	if d.params.MaxShiftV <= 0 {
 		return 0
 	}
-	return d.recoverable() / d.params.MaxShiftV
+	return d.shift / d.params.MaxShiftV
 }
 
-// stepPermanent advances the precursor/locked kinetics by dt seconds.
+// stepPermanent advances the precursor/locked kinetics by dt seconds under
+// condition c, whose acceleration factors the phase has already computed.
 //
 // During stress, occupied traps generate precursors at a rate scaled by the
 // stress acceleration (saturating as the permanent pool fills); precursors
@@ -219,8 +220,8 @@ func (d *Device) meanOccupancy() float64 {
 // scheduled recovery eliminates the permanent component (Fig. 4); under
 // recovery the emission acceleration anneals precursors (but never locked
 // defects).
-func (d *Device) stepPermanent(c Condition, emitAF, dt float64) {
-	p := d.params
+func (d *Device) stepPermanent(c Condition, captureAF, emitAF, dt float64) {
+	p := &d.params
 	var gen float64
 	if c.Stressing() {
 		occ := d.meanOccupancy()
@@ -228,7 +229,7 @@ func (d *Device) stepPermanent(c Condition, emitAF, dt float64) {
 		if sat < 0 {
 			sat = 0
 		}
-		gen = p.GenRateVPerSec * occ * sat * p.captureAccel(c)
+		gen = p.GenRateVPerSec * occ * sat * captureAF
 	}
 	density := d.precursorV / p.PrecursorScaleV
 	if density > 3 {

@@ -37,6 +37,12 @@ import (
 // identical operations in identical order, so they agree bit-for-bit; each
 // matches the naive per-cell-exponential reference within ~1e-15 relative
 // (see kernel_test.go).
+//
+// Every path also returns the swept device's recoverable shift, summed as
+// each cell is stored: s += weight[k]·occ[k] in ascending cell order, the
+// operands and order of gridShift, so the carried shift is bit-identical to
+// re-reading the grid. The device keeps it (Device.shift), and the
+// permanent kinetics, ShiftV and RecoverableV read it in O(1).
 
 // condKey identifies one evolution kernel: the acceleration factors and the
 // substep length fully determine the per-cell decay and equilibrium fields.
@@ -107,10 +113,7 @@ func (g *cetGrid) kernel(captureAF, emitAF, dt float64, phase uint64) *evolveKer
 	first, ok := g.seen[key]
 	if !ok || first == phase {
 		if !ok {
-			if g.seen == nil || len(g.seen) >= maxSeenKeys {
-				g.seen = make(map[condKey]uint64, 64)
-			}
-			g.seen[key] = phase
+			g.markSeen(key, phase)
 		}
 		g.mu.Unlock()
 		metKernelMisses.Inc()
@@ -146,14 +149,23 @@ func (g *cetGrid) kernel(captureAF, emitAF, dt float64, phase uint64) *evolveKer
 		// already proved it recurs; with it, the key retries as soon as it
 		// is requested again and is refused only while the budget stays
 		// full.
-		if g.seen == nil || len(g.seen) >= maxSeenKeys {
-			g.seen = make(map[condKey]uint64, 64)
-		}
-		g.seen[key] = first
+		g.markSeen(key, first)
 		metKernelRefusals.Inc()
 	}
 	g.mu.Unlock()
 	return k
+}
+
+// markSeen records the phase that first requested key. A full seen map is
+// emptied first; clear keeps its grown buckets, where a fresh map would
+// regrow from empty every cycle. Call with g.mu held.
+func (g *cetGrid) markSeen(key condKey, phase uint64) {
+	if g.seen == nil {
+		g.seen = make(map[condKey]uint64)
+	} else if len(g.seen) >= maxSeenKeys {
+		clear(g.seen)
+	}
+	g.seen[key] = phase
 }
 
 // buildKernel computes the axis decay vectors and fuses them into the
@@ -196,14 +208,20 @@ func (g *cetGrid) fillKernel(k *evolveKernel, captureAF, emitAF, dt float64) {
 	g.scratch.Put(sc)
 }
 
-// kernelSweep advances the occupancy vector by one kernel substep: a pure
-// fused multiply-add sweep with no divisions or transcendentals.
-func kernelSweep(k *evolveKernel, occ []float64) {
+// kernelSweep advances the occupancy vector by one kernel substep — a pure
+// fused multiply-add sweep with no divisions or transcendentals — and
+// returns its recoverable shift under the grid weights.
+func kernelSweep(k *evolveKernel, weight, occ []float64) float64 {
 	pInf := k.pInf[:len(occ)]
 	decay := k.decay[:len(occ)]
+	weight = weight[:len(occ)]
+	var s float64
 	for idx := range occ {
-		occ[idx] = pInf[idx] + (occ[idx]-pInf[idx])*decay[idx]
+		o := pInf[idx] + (occ[idx]-pInf[idx])*decay[idx]
+		occ[idx] = o
+		s += weight[idx] * o
 	}
+	return s
 }
 
 // axisScratch holds the axis rates and decays of one substep, pooled per
@@ -244,13 +262,14 @@ func separableSweep(g *cetGrid, devs []*Device, pInf []float64, captureAF, emitA
 	metSeparableSweep.Add(uint64(len(devs)))
 	sc := g.axes(captureAF, emitAF, dt)
 	for _, d := range devs {
-		separableRows(g, sc, d.occ, pInf, captureAF)
+		d.shift = separableRows(g, sc, d.occ, pInf, captureAF)
 	}
 	g.scratch.Put(sc)
 }
 
 // separableRows fuses the axis vectors in sc into occ, bit-identical to a
-// kernel built for the same key, through one of three loops:
+// kernel built for the same key, and returns occ's recoverable shift. It
+// runs one of three loops:
 //
 //   - Non-stressing (captureAF == 0): rc = 0, so pInf = 0/rate is exactly +0
 //     and dc = exp(-0·dt) exactly 1; the update reduces to +0 + occ·decayE[j]
@@ -259,35 +278,44 @@ func separableSweep(g *cetGrid, devs []*Device, pInf []float64, captureAF, emitA
 //   - pInf given: the caller's phase kernel holds the fused equilibrium
 //     field, which depends only on the acceleration factors, not on dt — so
 //     a remainder substep reuses it instead of dividing per cell.
-//   - Otherwise: one division per cell for pInf = rc/rate.
-func separableRows(g *cetGrid, sc *axisScratch, occ, pInf []float64, captureAF float64) {
+//   - Otherwise: one division per cell for pInf = rc/rate. A frozen cell
+//     (rate ≤ 0) keeps its occupancy but still counts toward the shift.
+func separableRows(g *cetGrid, sc *axisScratch, occ, pInf []float64, captureAF float64) float64 {
 	re, decayE := sc.re, sc.decayE
 	ne := g.ne
+	var s float64
 	for i := 0; i < g.nc; i++ {
 		row := occ[i*ne : (i+1)*ne]
+		w := g.weight[i*ne : (i+1)*ne]
 		switch {
 		case captureAF <= 0:
 			for j := range row {
-				row[j] = 0 + row[j]*decayE[j]
+				o := 0 + row[j]*decayE[j]
+				row[j] = o
+				s += w[j] * o
 			}
 		case pInf != nil:
 			dc := sc.dc[i]
 			p := pInf[i*ne : (i+1)*ne]
 			for j := range row {
-				row[j] = p[j] + (row[j]-p[j])*(dc*decayE[j])
+				o := p[j] + (row[j]-p[j])*(dc*decayE[j])
+				row[j] = o
+				s += w[j] * o
 			}
 		default:
 			rc, dc := sc.rc[i], sc.dc[i]
 			for j := range row {
-				rate := rc + re[j]
-				if rate <= 0 {
-					continue
+				o := row[j]
+				if rate := rc + re[j]; rate > 0 {
+					p := rc / rate
+					o = p + (o-p)*(dc*decayE[j])
+					row[j] = o
 				}
-				p := rc / rate
-				row[j] = p + (row[j]-p)*(dc*decayE[j])
+				s += w[j] * o
 			}
 		}
 	}
+	return s
 }
 
 // scratchKernel returns a pooled kernel filled for the condition key
@@ -349,7 +377,7 @@ func (p *phaseSweeper) sweep(devs []*Device, dt float64) {
 		return
 	}
 	if p.k != nil && p.kdt == dt {
-		sweepKernel(p.k, devs)
+		sweepKernel(p.k, p.g.weight, devs)
 		return
 	}
 	g := p.g
@@ -357,13 +385,13 @@ func (p *phaseSweeper) sweep(devs []*Device, dt float64) {
 		if p.k == nil {
 			p.k, p.kdt = k, dt
 		}
-		sweepKernel(k, devs)
+		sweepKernel(k, g.weight, devs)
 		return
 	}
 	if p.k == nil && p.fill {
 		metPhaseKernels.Inc()
 		p.k, p.kdt, p.pooled = g.scratchKernel(p.captureAF, p.emitAF, dt), dt, true
-		sweepKernel(p.k, devs)
+		sweepKernel(p.k, g.weight, devs)
 		return
 	}
 	var pInf []float64
@@ -373,10 +401,11 @@ func (p *phaseSweeper) sweep(devs []*Device, dt float64) {
 	separableSweep(g, devs, pInf, p.captureAF, p.emitAF, dt)
 }
 
-// sweepKernel advances every device in devs through k.
-func sweepKernel(k *evolveKernel, devs []*Device) {
+// sweepKernel advances every device in devs through k, storing each
+// device's new shift.
+func sweepKernel(k *evolveKernel, weight []float64, devs []*Device) {
 	for _, d := range devs {
-		kernelSweep(k, d.occ)
+		d.shift = kernelSweep(k, weight, d.occ)
 	}
 }
 

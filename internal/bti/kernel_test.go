@@ -90,6 +90,36 @@ func TestEvolveMatchesNaive(t *testing.T) {
 	}
 }
 
+// TestSeparableShiftCountsFrozenCells sweeps a grid where some cells are
+// frozen — a capture factor so small that rc underflows to zero, with no
+// emission — and checks the stored shift still counts them, next to the
+// stressing, borrowed-pInf and non-stressing loops.
+func TestSeparableShiftCountsFrozenCells(t *testing.T) {
+	p := DefaultParams().Coarse()
+	g := newCETGrid(p)
+	pInf := g.buildKernel(1, 1, maxSubstep).pInf
+	cases := []struct {
+		name              string
+		captureAF, emitAF float64
+		pInf              []float64
+	}{
+		{"frozen", 1e-320, 0, nil},
+		{"stress", 1, 1, nil},
+		{"borrowed pInf", 1, 1, pInf},
+		{"rest", 0, 1, nil},
+	}
+	for _, tc := range cases {
+		d := phaseTestDevice(rngx.New(3), p, g)
+		separableSweep(g, []*Device{d}, tc.pInf, tc.captureAF, tc.emitAF, 300)
+		if diff := shiftDiff(d); diff != "" {
+			t.Errorf("%s: %s", tc.name, diff)
+		}
+		if tc.name == "frozen" && d.RecoverableV() == 0 {
+			t.Error("frozen: the sweep left no occupied cell to count")
+		}
+	}
+}
+
 // TestEvolveShortCircuits verifies the degenerate-input guards: zero rates
 // or a non-positive duration must leave the occupancy untouched.
 func TestEvolveShortCircuits(t *testing.T) {
@@ -118,7 +148,8 @@ func applyReference(d *Device, c Condition, dur float64) {
 	for elapsed < dur {
 		step := math.Min(maxSubstep, dur-elapsed)
 		naiveSweep(d.grid, d.occ, captureAF, emitAF, step)
-		d.stepPermanent(c, emitAF, step)
+		resyncShift(d)
+		d.stepPermanent(c, captureAF, emitAF, step)
 		elapsed += step
 		d.age += step
 	}
@@ -454,6 +485,7 @@ func applyPerSubstep(d *Device, c Condition, dur float64) {
 	evolve := func(dt float64) {
 		if dt > 0 && (captureAF > 0 || emitAF > 0) {
 			perSubstepSeparable(d.grid, d.occ, captureAF, emitAF, dt)
+			resyncShift(d)
 		}
 	}
 	occLag := 0.0
@@ -465,17 +497,35 @@ func applyPerSubstep(d *Device, c Condition, dur float64) {
 		} else {
 			occLag += step
 		}
-		d.stepPermanent(c, emitAF, step)
+		d.stepPermanent(c, captureAF, emitAF, step)
 		elapsed += step
 		d.age += step
 	}
 	evolve(occLag)
 }
 
+// resyncShift recomputes the stored shift of a device whose occupancy a
+// test wrote directly, outside the sweeps that keep it.
+func resyncShift(d *Device) { d.shift = gridShift(d.grid, d.occ) }
+
+// shiftDiff describes a stored shift that differs, bit for bit, from a
+// fresh gridShift of the device's occupancy, or returns "" when they agree.
+func shiftDiff(d *Device) string {
+	got, want := d.RecoverableV(), gridShift(d.grid, d.occ)
+	if math.Float64bits(got) != math.Float64bits(want) {
+		return fmt.Sprintf("stored shift %v, occupancy holds %v", got, want)
+	}
+	return ""
+}
+
 // stateDiff describes the first difference between two devices' state,
 // bit for bit (telling −0 from +0), or returns "" when they are identical.
+// A stored shift out of step with got's occupancy is a difference too.
 func stateDiff(got, want *Device) string {
 	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	if diff := shiftDiff(got); diff != "" {
+		return diff
+	}
 	if !same(got.precursorV, want.precursorV) || !same(got.lockedV, want.lockedV) || !same(got.age, want.age) {
 		return fmt.Sprintf("permanent state (%v,%v,%v), want (%v,%v,%v)",
 			got.precursorV, got.lockedV, got.age, want.precursorV, want.lockedV, want.age)
@@ -496,6 +546,7 @@ func phaseTestDevice(rng *rngx.Source, p Params, g *cetGrid) *Device {
 		d.occ[i] = rng.Float64()
 	}
 	d.occ[0] = math.Copysign(0, -1)
+	resyncShift(d)
 	d.precursorV, d.lockedV, d.age = 0.01*rng.Float64(), 0.005*rng.Float64(), 3600
 	return d
 }
@@ -525,7 +576,9 @@ func remainderOf(dur float64) float64 {
 // applyReference, for every phase shape — sub-substep, exact multiples, a
 // remainder, and long phases — under stress and rest, whatever the kernel
 // cache holds: nothing, the phase's full-substep key, only its remainder
-// key, or a full budget.
+// key, or a full budget. Every device's stored shift must equal a fresh
+// gridShift of its occupancy bit for bit (stateDiff checks it), including
+// at each callback of an observed phase.
 func TestPhaseKernelMatchesPerSubstep(t *testing.T) {
 	p := DefaultParams().Coarse()
 	conds := []Condition{
@@ -574,6 +627,18 @@ func TestPhaseKernelMatchesPerSubstep(t *testing.T) {
 				}
 				if diff := relDiff(d.ShiftV(), naive.ShiftV()); diff > 1e-12 {
 					t.Fatalf("%s: ShiftV %g vs reference %g (rel %g)", label, d.ShiftV(), naive.ShiftV(), diff)
+				}
+
+				// ApplyObserved, split off the substep grid: each callback
+				// sees the flushed occupancy's shift.
+				watched := phaseTestDevice(rng, p, g)
+				watched.ApplyObserved(c, dur, 0.7*maxSubstep, func(tt, _ float64) {
+					if diff := shiftDiff(watched); diff != "" {
+						t.Fatalf("%s ApplyObserved at %gs: %s", label, tt, diff)
+					}
+				})
+				if diff := shiftDiff(watched); diff != "" {
+					t.Fatalf("%s ApplyObserved: %s", label, diff)
 				}
 
 				// BatchApply on a same-grid group.

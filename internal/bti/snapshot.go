@@ -73,6 +73,7 @@ func (d *Device) Restore(data []byte) error {
 	for i := range d.occ {
 		d.occ[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
 	}
+	d.shift = gridShift(d.grid, d.occ) // derived state: never serialised
 	d.precursorV = precursorV
 	d.lockedV = lockedV
 	d.age = age

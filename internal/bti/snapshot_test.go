@@ -100,3 +100,50 @@ func TestDeviceResumeBitIdentical(t *testing.T) {
 		t.Error("resumed state diverged from uninterrupted run")
 	}
 }
+
+// TestStoredShiftFollowsState checks the stored shift through the calls
+// that write the occupancy outside a sweep: Restore recomputes it, Clone
+// copies it, Reset zeroes it, and a rejected Restore leaves it untouched.
+func TestStoredShiftFollowsState(t *testing.T) {
+	p := DefaultParams().Coarse()
+	src := MustNewDevice(p)
+	src.Apply(StressAccel, units.Hours(3))
+	snap := src.Snapshot()
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
+	d := MustNewDevice(p)
+	d.Apply(StressAccel, 600)
+	before := d.RecoverableV()
+	bad := append([]byte(nil), snap...)
+	bad[len(bad)-1] = 0xff // the last cell turns negative or NaN
+	if err := d.Restore(bad); err == nil {
+		t.Fatal("out-of-range occupancy accepted")
+	}
+	if !same(d.RecoverableV(), before) {
+		t.Fatalf("rejected Restore moved the stored shift: %v -> %v", before, d.RecoverableV())
+	}
+
+	if err := d.Restore(snap); err != nil {
+		t.Fatal(err)
+	}
+	if diff := shiftDiff(d); diff != "" {
+		t.Fatalf("after Restore: %s", diff)
+	}
+	if !same(d.RecoverableV(), src.RecoverableV()) {
+		t.Fatalf("restored shift %v, source %v", d.RecoverableV(), src.RecoverableV())
+	}
+
+	c := d.Clone()
+	defer c.Release()
+	if !same(c.RecoverableV(), d.RecoverableV()) {
+		t.Fatalf("clone shift %v, original %v", c.RecoverableV(), d.RecoverableV())
+	}
+
+	d.Reset()
+	if !same(d.RecoverableV(), 0) || d.ShiftV() != 0 {
+		t.Fatalf("after Reset: recoverable %v, total %v, want +0", d.RecoverableV(), d.ShiftV())
+	}
+	if diff := shiftDiff(d); diff != "" {
+		t.Fatalf("after Reset: %s", diff)
+	}
+}
