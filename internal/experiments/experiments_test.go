@@ -56,6 +56,7 @@ func TestAllResultsFormat(t *testing.T) {
 				t.Error("output contains NaN")
 			}
 			golden.Check(t, "testdata/format.sha256", id, []byte(out))
+			golden.Check(t, "testdata/value.sha256", id, golden.Render(res))
 		})
 	}
 }
