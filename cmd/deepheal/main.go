@@ -9,7 +9,6 @@
 //	deepheal all -parallel 4       # fan experiment points across 4 workers
 //	deepheal all -resume out/camp  # checkpoint/resume at point granularity
 //	deepheal sim [flags]           # run one policy simulation directly
-//	deepheal bench [flags]         # run tracked benchmarks, emit/compare JSON
 //	deepheal serve [flags]         # host the chip-fleet HTTP/JSON service
 //	deepheal coordinate [flags]    # publish a distributed work queue and assemble it
 //	deepheal worker [flags]        # join a distributed campaign as one worker
@@ -30,11 +29,11 @@
 // Each experiment prints its paper-style table or series followed by a
 // summary comparing the simulated result against the paper's anchors.
 // The sim subcommand drives a single engine simulation with progress
-// reporting and checkpoint/resume; see `deepheal sim -h`. The bench
-// subcommand records the benchmark trajectory (see `deepheal bench -h`);
-// CI gates it against the committed BENCH_PR9.json. The serve subcommand
-// hosts the fleet service (see `deepheal serve -h`): on SIGTERM it drains
-// HTTP, writes the fleet checkpoint and exits 0.
+// reporting and checkpoint/resume; see `deepheal sim -h`. The serve
+// subcommand hosts the fleet service (see `deepheal serve -h`): on SIGTERM
+// it drains HTTP, writes the fleet checkpoint and exits 0. The benchmark
+// gate is not a verb: .github/bench-ab.sh compares the tracked Go
+// benchmarks against a base commit on one machine.
 package main
 
 import (
@@ -131,8 +130,8 @@ func withSignalHandling(parent context.Context, exit func(int)) (context.Context
 
 // parseInterspersed parses fs flags wherever they appear among args,
 // collecting the positional arguments — so `deepheal all -q` works like
-// `deepheal -q all`. The sim, bench and serve verbs keep their remaining
-// arguments raw: they own their own flag sets.
+// `deepheal -q all`. The sim, serve, worker and coordinate verbs keep their
+// remaining arguments raw: they own their own flag sets.
 func parseInterspersed(fs *flag.FlagSet, args []string) ([]string, error) {
 	var pos []string
 	for {
@@ -147,7 +146,7 @@ func parseInterspersed(fs *flag.FlagSet, args []string) ([]string, error) {
 		args = args[1:]
 		if len(pos) == 1 {
 			switch pos[0] {
-			case "sim", "bench", "serve", "worker", "coordinate":
+			case "sim", "serve", "worker", "coordinate":
 				return append(pos, args...), nil
 			}
 		}
@@ -171,7 +170,7 @@ func run(ctx context.Context, args []string) error {
 	var prof obsflag.Profile
 	prof.Register(fs)
 	fs.Usage = func() {
-		fmt.Fprintf(fs.Output(), "usage: deepheal [-q] [-o dir] [-parallel n] [-resume dir] [-faults spec] list | all | sim | bench | serve | coordinate | worker | timing <points.json> | <experiment>...\n\nexperiments:\n")
+		fmt.Fprintf(fs.Output(), "usage: deepheal [-q] [-o dir] [-parallel n] [-resume dir] [-faults spec] list | all | sim | serve | coordinate | worker | timing <points.json> | <experiment>...\n\nexperiments:\n")
 		for _, id := range experiments.SortedIDs() {
 			fmt.Fprintf(fs.Output(), "  %s\n", id)
 		}
@@ -204,8 +203,6 @@ func run(ctx context.Context, args []string) error {
 	switch pos[0] {
 	case "sim":
 		return runSim(ctx, pos[1:])
-	case "bench":
-		return runBench(pos[1:])
 	case "serve":
 		return runServe(ctx, pos[1:])
 	case "worker":
