@@ -10,8 +10,8 @@
 # The raw `go test -bench` output of every round goes to bench-ab/raw/
 # (<side>-<package>-<round>.txt) and the comparison table to
 # bench-ab/compare.txt, both under the repository root. Exit status is 0
-# on a pass, 1 on a regression and 2 on a usage error; a build failure
-# exits with the go tool's status.
+# on a pass, 1 on a regression and 2 on a usage error; a failed build or
+# benchmark exits with its own status.
 set -euo pipefail
 
 # The tracked set: the numerical kernels and the system simulator.
@@ -66,10 +66,11 @@ for round in $(seq "$ROUNDS"); do
 		# over the run lands on both sides.
 		if [ $((round % 2)) -eq 1 ]; then order="base head"; else order="head base"; fi
 		for side in $order; do
-			# Each binary runs from its package directory, as `go test` would.
+			# Each binary runs from its package directory, as `go test` would,
+			# and under go test's default timeout.
 			(cd "$(side_dir $side)/internal/$pkg" &&
 				"$work/bin/$side/$pkg.test" -test.run='^$' -test.bench=. \
-					-test.benchtime="$BENCHTIME" -test.benchmem) >"$out/raw/$side-$pkg-$round.txt"
+					-test.benchtime="$BENCHTIME" -test.benchmem -test.timeout=10m) >"$out/raw/$side-$pkg-$round.txt"
 		done
 	done
 	echo "round $round/$ROUNDS done"

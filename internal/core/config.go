@@ -76,16 +76,6 @@ func ConfigForGrid(rows, cols int) Config {
 	return DefaultFloorplan().ConfigForGrid(rows, cols)
 }
 
-// SystemEMParams rescales the wire-calibrated reduced EM model to on-die
-// use conditions: the reference point moves to a busy local rail at a
-// typical hot-tile temperature, and the nucleation/growth timescales are
-// expressed in the system's accelerated-equivalent hours, sized so an
-// unprotected grid segment fails within the evaluated lifetime (which is
-// exactly the situation guardbands are budgeted for).
-func SystemEMParams() em.ReducedParams {
-	return DefaultFloorplan().EMParams()
-}
-
 // Validate reports whether the configuration is usable.
 func (c Config) Validate() error {
 	switch {

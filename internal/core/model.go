@@ -72,11 +72,7 @@ func (m *Model) NewSimulatorSeeded(policy Policy, seed int64, opts ...Option) (*
 	for _, o := range opts {
 		o(&s.opts)
 	}
-	if s.opts.Pool != nil {
-		s.pool = s.opts.Pool
-	} else {
-		s.pool = engine.NewPool(s.opts.Workers)
-	}
+	s.pool = engine.NewPool(s.opts.Workers)
 
 	s.cores = make([]*bti.Device, n)
 	s.sensors = make([]*sensor.ROSensor, n)

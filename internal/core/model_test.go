@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"deepheal/internal/bti"
-	"deepheal/internal/engine"
 )
 
 func TestModelSharedAcrossSimulators(t *testing.T) {
@@ -47,33 +46,6 @@ func TestModelSharedAcrossSimulators(t *testing.T) {
 	first.Close()
 	second.Close()
 	direct.Close()
-}
-
-func TestSharedPoolStepping(t *testing.T) {
-	cfg := testConfig()
-	cfg.Steps = 30
-	m, err := NewModel(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pool := engine.NewPool(2)
-	shared, err := m.NewSimulator(DefaultDeepHealing(), WithPool(pool))
-	if err != nil {
-		t.Fatal(err)
-	}
-	serial, err := m.NewSimulator(DefaultDeepHealing(), WithWorkers(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	repShared, err := shared.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	repSerial, err := serial.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	compareReports(t, "shared pool vs serial", repShared, repSerial)
 }
 
 func TestLeanSeriesKeepsAccumulators(t *testing.T) {

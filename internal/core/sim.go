@@ -23,10 +23,6 @@ type Options struct {
 	// 0 uses GOMAXPROCS; 1 steps serially. Results are bit-identical for
 	// every setting (see internal/engine.Pool).
 	Workers int
-	// Pool, if non-nil, overrides Workers with a caller-owned worker pool.
-	// A fleet stepping many chips hands every simulator the same pool so
-	// parallelism is budgeted once across the fleet instead of per chip.
-	Pool *engine.Pool
 	// LeanSeries retains only the most recent StepStats instead of the full
 	// per-step series. Fleet chips run open-ended horizons where an O(steps)
 	// series per chip would defeat the memory budget; the report
@@ -55,10 +51,6 @@ func WithProgress(fn func(step, total int)) Option {
 func WithStageTime(fn func(stage engine.StageName, d time.Duration)) Option {
 	return func(o *Options) { o.StageTime = fn }
 }
-
-// WithPool makes the simulator step through a caller-owned worker pool
-// shared with other simulators.
-func WithPool(p *engine.Pool) Option { return func(o *Options) { o.Pool = p } }
 
 // WithLeanSeries keeps only the latest StepStats instead of the full series.
 func WithLeanSeries() Option { return func(o *Options) { o.LeanSeries = true } }

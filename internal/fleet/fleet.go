@@ -37,10 +37,6 @@ type Options struct {
 	// recently touched excess is suspended to compact snapshots and
 	// rehydrated transparently on next use. 0 means unlimited.
 	MaxResident int
-	// GuardbandLimit is the delay-degradation fraction at which a chip is
-	// considered end-of-life for the remaining-lifetime estimate
-	// (default 0.10 = a 10 % timing margin budget).
-	GuardbandLimit float64
 	// ScheduleFrac is the fraction of a corner's MaxShiftV above which a
 	// core is proposed for recovery by Schedule (default 0.5).
 	ScheduleFrac float64
@@ -112,9 +108,6 @@ func (m *Manager) Ready() (bool, string) {
 
 // NewManager builds an empty fleet.
 func NewManager(opts Options) *Manager {
-	if opts.GuardbandLimit <= 0 {
-		opts.GuardbandLimit = 0.10
-	}
 	if opts.ScheduleFrac <= 0 {
 		opts.ScheduleFrac = 0.5
 	}

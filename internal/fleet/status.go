@@ -1,5 +1,10 @@
 package fleet
 
+// guardbandLimit is the delay-degradation fraction at which a chip is
+// considered end-of-life for the remaining-lifetime estimate: a 10 %
+// timing margin budget.
+const guardbandLimit = 0.10
+
 // ChipStatus is the queryable state of one chip: where it is in its
 // lifetime, how worn it is, and how much lifetime the current degradation
 // trend leaves. It carries no wall-clock fields on purpose — a restored
@@ -73,8 +78,8 @@ func (m *Manager) statusOf(c *chip) ChipStatus {
 		MaxTempC:       p.Last.MaxTempC,
 
 		GuardbandFrac:  p.GuardbandFrac,
-		GuardbandLimit: m.opts.GuardbandLimit,
-		RemainingSteps: remainingSteps(p.GuardbandFrac, m.opts.GuardbandLimit, p.Step),
+		GuardbandLimit: guardbandLimit,
+		RemainingSteps: remainingSteps(p.GuardbandFrac, guardbandLimit, p.Step),
 
 		Availability:     p.Availability,
 		RecoveryOverhead: p.RecoveryOverhead,

@@ -15,16 +15,15 @@ import (
 // Floats are written with strconv's shortest round-trip form (±Inf and NaN
 // included), maps in the sorted order of their rendered keys, and pointers
 // and interfaces by what they point to, never by address. Unexported fields
-// are rendered too. A pointer already being rendered further up is written
-// as "<cycle>"; funcs and channels are written as "<func>"/"<chan>" (or
-// "nil"), since they hold no output.
+// are rendered too. Render panics on a func, channel or complex number; a
+// value that points back into itself never finishes.
 func Render(v any) []byte {
 	var b bytes.Buffer
-	render(&b, reflect.ValueOf(v), map[uintptr]bool{})
+	render(&b, reflect.ValueOf(v))
 	return b.Bytes()
 }
 
-func render(b *bytes.Buffer, v reflect.Value, onPath map[uintptr]bool) {
+func render(b *bytes.Buffer, v reflect.Value) {
 	if !v.IsValid() {
 		b.WriteString("nil")
 		return
@@ -38,10 +37,6 @@ func render(b *bytes.Buffer, v reflect.Value, onPath map[uintptr]bool) {
 		b.WriteString(strconv.FormatUint(v.Uint(), 10))
 	case reflect.Float32, reflect.Float64:
 		b.WriteString(strconv.FormatFloat(v.Float(), 'g', -1, v.Type().Bits()))
-	case reflect.Complex64, reflect.Complex128:
-		c := v.Complex()
-		bits := v.Type().Bits() / 2
-		fmt.Fprintf(b, "(%s,%s)", strconv.FormatFloat(real(c), 'g', -1, bits), strconv.FormatFloat(imag(c), 'g', -1, bits))
 	case reflect.String:
 		b.WriteString(strconv.Quote(v.String()))
 	case reflect.Pointer:
@@ -49,15 +44,8 @@ func render(b *bytes.Buffer, v reflect.Value, onPath map[uintptr]bool) {
 			b.WriteString("nil")
 			return
 		}
-		p := v.Pointer()
-		if onPath[p] {
-			b.WriteString("<cycle>")
-			return
-		}
-		onPath[p] = true
 		b.WriteByte('&')
-		render(b, v.Elem(), onPath)
-		delete(onPath, p)
+		render(b, v.Elem())
 	case reflect.Interface:
 		if v.IsNil() {
 			b.WriteString("nil")
@@ -65,7 +53,7 @@ func render(b *bytes.Buffer, v reflect.Value, onPath map[uintptr]bool) {
 		}
 		b.WriteString(v.Elem().Type().String())
 		b.WriteByte('(')
-		render(b, v.Elem(), onPath)
+		render(b, v.Elem())
 		b.WriteByte(')')
 	case reflect.Slice, reflect.Array:
 		if v.Kind() == reflect.Slice && v.IsNil() {
@@ -77,7 +65,7 @@ func render(b *bytes.Buffer, v reflect.Value, onPath map[uintptr]bool) {
 			if i > 0 {
 				b.WriteByte(' ')
 			}
-			render(b, v.Index(i), onPath)
+			render(b, v.Index(i))
 		}
 		b.WriteByte(']')
 	case reflect.Map:
@@ -89,8 +77,8 @@ func render(b *bytes.Buffer, v reflect.Value, onPath map[uintptr]bool) {
 		entries := make([]entry, 0, v.Len())
 		for it := v.MapRange(); it.Next(); {
 			var kb, vb bytes.Buffer
-			render(&kb, it.Key(), onPath)
-			render(&vb, it.Value(), onPath)
+			render(&kb, it.Key())
+			render(&vb, it.Value())
 			entries = append(entries, entry{kb.String(), vb.String()})
 		}
 		sort.Slice(entries, func(i, j int) bool { return entries[i].k < entries[j].k })
@@ -114,14 +102,11 @@ func render(b *bytes.Buffer, v reflect.Value, onPath map[uintptr]bool) {
 			}
 			b.WriteString(t.Field(i).Name)
 			b.WriteByte(':')
-			render(b, v.Field(i), onPath)
+			render(b, v.Field(i))
 		}
 		b.WriteByte('}')
-	case reflect.Func, reflect.Chan, reflect.UnsafePointer:
-		if v.IsNil() {
-			b.WriteString("nil")
-			return
-		}
-		fmt.Fprintf(b, "<%s>", v.Kind())
+	default:
+		// Funcs, channels and complex numbers hold no experiment output.
+		panic(fmt.Sprintf("golden: cannot render a %s", v.Type()))
 	}
 }

@@ -7,6 +7,9 @@ import (
 	"deepheal/internal/faultinject"
 )
 
+// cgMaxIterPerDim bounds a CG solve at this many iterations per unknown.
+const cgMaxIterPerDim = 10
+
 // CGSolver holds the Jacobi preconditioner and iteration scratch for
 // repeated conjugate-gradient solves against one immutable CSR matrix.
 // Building the solver inverts the diagonal once; each Solve then allocates
@@ -67,10 +70,7 @@ func (s *CGSolver) solve(b, x0 []float64, opt CGOptions) ([]float64, float64, er
 	if len(b) != n {
 		return nil, 0, fmt.Errorf("mathx: SolveCG rhs length %d, want %d", len(b), n)
 	}
-	maxIter := opt.MaxIter
-	if maxIter <= 0 {
-		maxIter = 10 * n
-	}
+	maxIter := cgMaxIterPerDim * n
 	tol := opt.Tol
 	if tol <= 0 {
 		tol = 1e-10

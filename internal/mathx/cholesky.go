@@ -122,9 +122,6 @@ func NewCholesky(m *CSR) (*CholeskySolver, error) {
 // N reports the system dimension.
 func (s *CholeskySolver) N() int { return s.n }
 
-// EnvelopeFloats reports the factor's resident size in float64 words.
-func (s *CholeskySolver) EnvelopeFloats() int { return len(s.vals) }
-
 // Solve solves A·x = b by forward/backward substitution through the factor.
 // The returned slice is internal scratch, valid until the next Solve.
 func (s *CholeskySolver) Solve(b []float64) ([]float64, error) {

@@ -82,8 +82,6 @@ func (m *CSR) MulVec(x, y []float64) {
 
 // CGOptions configures the conjugate gradient solver.
 type CGOptions struct {
-	// MaxIter bounds iterations; 0 means 10·n.
-	MaxIter int
 	// Tol is the relative residual target; 0 means 1e-10.
 	Tol float64
 }

@@ -58,9 +58,8 @@ func (m *Metrics) Start(reg *obs.Registry) (finish func() error, err error) {
 	}, nil
 }
 
-// Profile is the -cpuprofile/-memprofile flag pair. Most commands Start it
-// in-process; `deepheal bench` only registers the flags and forwards the
-// paths to `go test`.
+// Profile is the -cpuprofile/-memprofile flag pair. A command Registers it
+// and Starts it in-process.
 type Profile struct {
 	CPU, Mem string
 }

@@ -6,8 +6,8 @@ import (
 
 // BenchmarkScenarioStep measures one duty step of each registered
 // structure — the inner loop of every zoo experiment and of the Monte
-// Carlo sweeps the distributed executor fans out. Tracked in the bench
-// baseline (see internal/bench), so a regression in the BatchApply
+// Carlo sweeps the distributed executor fans out. Tracked by the CI
+// benchmark gate (.github/bench-ab.sh), so a regression in the BatchApply
 // bucketing or the kernel cache shows up here before it shows up as a slow
 // campaign.
 func BenchmarkScenarioStep(b *testing.B) {
