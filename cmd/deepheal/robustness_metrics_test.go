@@ -9,27 +9,28 @@ import (
 
 	"deepheal/internal/campaign"
 	"deepheal/internal/faultinject"
+	"deepheal/internal/mathx"
 	"deepheal/internal/obs"
 	"deepheal/internal/thermal"
 )
 
 // TestRobustnessMetricsExposition moves the three degraded-mode series —
-// point retries, quarantined points, solver fallbacks — through real failure
-// paths and asserts they surface in both the Prometheus scrape and the JSON
-// snapshot.
+// point retries, quarantined points, failed direct solves — through real
+// failure paths and asserts they surface in both the Prometheus scrape and
+// the JSON snapshot.
 func TestRobustnessMetricsExposition(t *testing.T) {
 	reg := obs.NewRegistry()
 	campaign.EnableMetrics(reg)
-	thermal.EnableMetrics(reg)
+	mathx.EnableMetrics(reg)
 	t.Cleanup(func() {
 		campaign.EnableMetrics(nil)
-		thermal.EnableMetrics(nil)
+		mathx.EnableMetrics(nil)
 	})
 
 	// One point errors on both of its attempts (occurrences 1 and 2 of the
 	// point-error site): attempt 1 fails and is retried (+1 retry), attempt
 	// 2 fails and exhausts the budget (+1 quarantined). The thermal grid's
-	// first CG solve diverges, forcing the steady-state fallback (+1).
+	// first solve diverges, so its Settle fails (+1 Cholesky fallback).
 	inj, err := faultinject.New(7, map[faultinject.Site]faultinject.Schedule{
 		faultinject.SitePointError: {Occurrences: []uint64{1, 2}},
 		faultinject.SiteCGDiverge:  {Occurrences: []uint64{1}},
@@ -58,8 +59,8 @@ func TestRobustnessMetricsExposition(t *testing.T) {
 	g := thermal.MustNewGrid(4, 4, thermal.DefaultConfig())
 	power := make([]float64, 16)
 	power[5] = 2.0
-	if err := g.Step(power, 0.01); err != nil {
-		t.Fatalf("thermal step did not fall back: %v", err)
+	if err := g.Settle(power); err == nil {
+		t.Fatal("thermal settle succeeded although its solve was made to diverge")
 	}
 
 	// Prometheus exposition.
@@ -68,7 +69,7 @@ func TestRobustnessMetricsExposition(t *testing.T) {
 	for name, want := range map[string]float64{
 		"deepheal_campaign_point_retries_total": 1,
 		"deepheal_campaign_points_quarantined":  1,
-		"deepheal_solver_fallbacks_total":       1,
+		"deepheal_cholesky_fallbacks_total":     1,
 	} {
 		got, err := scrapeMetric(ts.URL+"/metrics", name)
 		if err != nil {
@@ -95,7 +96,7 @@ func TestRobustnessMetricsExposition(t *testing.T) {
 	if got := snap.Gauges["deepheal_campaign_points_quarantined"]; got != 1 {
 		t.Errorf("json deepheal_campaign_points_quarantined = %v, want 1", got)
 	}
-	if got := snap.Counters["deepheal_solver_fallbacks_total"]; got != 1 {
-		t.Errorf("json deepheal_solver_fallbacks_total = %d, want 1", got)
+	if got := snap.Counters["deepheal_cholesky_fallbacks_total"]; got != 1 {
+		t.Errorf("json deepheal_cholesky_fallbacks_total = %d, want 1", got)
 	}
 }

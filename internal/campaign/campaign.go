@@ -236,24 +236,6 @@ func Run(ctx context.Context, tasks []Task, opts Options) ([]Outcome, error) {
 	return r.outcomes, nil
 }
 
-// RunTask executes one task's points serially in declaration order with no
-// pool, memoisation or journal — the plain path individual experiment
-// runners use. The campaign engine produces byte-identical assembled values.
-func RunTask(ctx context.Context, t Task) (any, error) {
-	results := make([]any, len(t.Points))
-	for i, p := range t.Points {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		v, err := p.Run(ctx)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %s: %w", t.ID, p.Key, err)
-		}
-		results[i] = v
-	}
-	return t.Assemble(results)
-}
-
 // validate rejects campaigns the engine cannot execute unambiguously.
 func validate(tasks []Task) error {
 	taskIDs := make(map[string]bool, len(tasks))

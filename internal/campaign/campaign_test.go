@@ -33,12 +33,14 @@ func sumTask(id string, vals ...float64) Task {
 	return t
 }
 
+// TestRunTaskSerial runs one task on one worker, the way a single
+// experiment runs outside a campaign.
 func TestRunTaskSerial(t *testing.T) {
-	v, err := RunTask(context.Background(), sumTask("a", 1, 2, 3))
+	outcomes, err := Run(context.Background(), []Task{sumTask("a", 1, 2, 3)}, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v != "a=6" {
+	if v := outcomes[0].Value; v != "a=6" {
 		t.Fatalf("got %v", v)
 	}
 }

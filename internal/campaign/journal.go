@@ -57,7 +57,6 @@ type JournalOptions struct {
 // left for the caller to log. Either way the journal stays safe to resume
 // from: a skipped point simply recomputes.
 type Journal struct {
-	dir  string
 	path string
 	sync bool
 
@@ -83,7 +82,7 @@ func OpenJournalWith(dir string, opts JournalOptions) (*Journal, error) {
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return nil, fmt.Errorf("campaign: journal dir: %w", err)
 	}
-	j := &Journal{dir: dir, path: path, sync: opts.Sync, entries: make(map[string]*record)}
+	j := &Journal{path: path, sync: opts.Sync, entries: make(map[string]*record)}
 	if data, err := os.ReadFile(path); err == nil {
 		recs, corrupted, intact := parseJournal(data)
 		j.corrupted = corrupted
@@ -155,9 +154,6 @@ func (j *Journal) Corrupted() int {
 	defer j.mu.Unlock()
 	return j.corrupted
 }
-
-// Dir returns the journal directory.
-func (j *Journal) Dir() string { return j.dir }
 
 // Restorable returns how many completed points the journal currently holds.
 func (j *Journal) Restorable() int {

@@ -32,19 +32,6 @@ func TestVoltageDivider(t *testing.T) {
 	}
 }
 
-func TestCurrentSource(t *testing.T) {
-	c := New()
-	mustBuild(t, c.AddISource("I1", Ground, "out", 1e-3))
-	mustBuild(t, c.AddResistor("R1", "out", Ground, 2000))
-	sol, err := c.DC()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := sol.Voltage("out"); !mathx.AlmostEqual(got, 2.0, 1e-6) {
-		t.Errorf("out = %g, want 2.0", got)
-	}
-}
-
 func TestKCLResidualProperty(t *testing.T) {
 	// Property: in a random resistive ladder, the current into every
 	// internal node sums to zero.
@@ -235,15 +222,8 @@ func TestBuilderErrors(t *testing.T) {
 	if err := c.AddVSource("V", "a", Ground, 2); err == nil {
 		t.Error("duplicate vsource accepted")
 	}
-	mustBuild(t, c.AddISource("I", "a", Ground, 1))
-	if err := c.AddISource("I", "a", Ground, 1); err == nil {
-		t.Error("duplicate isource accepted")
-	}
 	if err := c.SetVSource("missing", 0); err == nil {
 		t.Error("unknown vsource accepted")
-	}
-	if err := c.SetISource("missing", 0); err == nil {
-		t.Error("unknown isource accepted")
 	}
 }
 

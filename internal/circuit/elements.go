@@ -108,15 +108,6 @@ func (w *switchElem) stamp(s *stampCtx) {
 }
 func (w *switchElem) linear() bool { return true }
 
-type isourceElem struct {
-	name string
-	a, b int
-	amps float64
-}
-
-func (i *isourceElem) stamp(s *stampCtx) { s.addI(i.a, i.b, i.amps) }
-func (i *isourceElem) linear() bool      { return true }
-
 type vsourceElem struct {
 	name   string
 	a, b   int

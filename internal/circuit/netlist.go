@@ -1,7 +1,7 @@
 // Package circuit implements a small SPICE-like circuit simulator based on
-// modified nodal analysis (MNA): resistors, capacitors, independent sources,
-// externally controlled switches and square-law MOSFETs, with DC operating
-// point (Newton iteration) and backward-Euler transient analysis.
+// modified nodal analysis (MNA): resistors, capacitors, independent voltage
+// sources, externally controlled switches and square-law MOSFETs, with DC
+// operating point (Newton iteration) and backward-Euler transient analysis.
 //
 // It exists to simulate the paper's assist circuitry (Fig. 8/9/10) the way
 // the authors used SPICE on 28 nm FD-SOI, and is deliberately scoped to the
@@ -24,7 +24,6 @@ type Circuit struct {
 	elems    []element
 	switches map[string]*switchElem
 	vsources map[string]*vsourceElem
-	isources map[string]*isourceElem
 }
 
 // New creates an empty circuit.
@@ -33,7 +32,6 @@ func New() *Circuit {
 		nodes:    make(map[string]int),
 		switches: make(map[string]*switchElem),
 		vsources: make(map[string]*vsourceElem),
-		isources: make(map[string]*isourceElem),
 	}
 }
 
@@ -84,18 +82,6 @@ func (c *Circuit) AddVSource(name, a, b string, volts float64) error {
 	return nil
 }
 
-// AddISource connects an independent current source pushing amps from a to b
-// (conventional current leaves the source at b).
-func (c *Circuit) AddISource(name, a, b string, amps float64) error {
-	if _, dup := c.isources[name]; dup {
-		return fmt.Errorf("circuit: duplicate current source %q", name)
-	}
-	i := &isourceElem{name: name, a: c.node(a), b: c.node(b), amps: amps}
-	c.isources[name] = i
-	c.elems = append(c.elems, i)
-	return nil
-}
-
 // AddSwitch connects an externally controlled switch between a and b with
 // the given on/off resistances. Switches start open; drive them with
 // SetSwitch.
@@ -129,16 +115,6 @@ func (c *Circuit) SetVSource(name string, volts float64) error {
 		return fmt.Errorf("circuit: unknown voltage source %q", name)
 	}
 	v.volts = volts
-	return nil
-}
-
-// SetISource updates an independent current source's value.
-func (c *Circuit) SetISource(name string, amps float64) error {
-	i, ok := c.isources[name]
-	if !ok {
-		return fmt.Errorf("circuit: unknown current source %q", name)
-	}
-	i.amps = amps
 	return nil
 }
 

@@ -169,6 +169,3 @@ func (tr *Transient) Step(dt float64) (*Solution, error) {
 	tr.t += dt
 	return tr.c.makeSolution(x), nil
 }
-
-// Solution returns the current state as a named Solution.
-func (tr *Transient) Solution() *Solution { return tr.c.makeSolution(tr.x) }

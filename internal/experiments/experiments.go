@@ -38,12 +38,14 @@ type Entry struct {
 	Plan func() campaign.Task
 }
 
-// Run executes the entry's plan serially (no pool, no memo, no journal).
+// Run executes the entry's plan as a one-task campaign on one worker (no
+// journal).
 func (e Entry) Run(ctx context.Context) (Result, error) {
-	v, err := campaign.RunTask(ctx, e.Plan())
+	outcomes, err := campaign.Run(ctx, []campaign.Task{e.Plan()}, campaign.Options{Workers: 1})
 	if err != nil {
 		return nil, fmt.Errorf("experiments: %w", err)
 	}
+	v := outcomes[0].Value
 	r, ok := v.(Result)
 	if !ok {
 		return nil, fmt.Errorf("experiments: %s assembled a %T, not a Result", e.ID, v)

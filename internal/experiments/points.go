@@ -97,11 +97,11 @@ func emDCTTFPoint(key string, horizonHours float64) campaign.Point {
 func simPoint(key string, cfg core.Config, newPolicy func() core.Policy) campaign.Point {
 	return campaign.NewPoint(key, simHash(cfg, newPolicy()),
 		func(ctx context.Context) (*core.Report, error) {
-			reports, err := core.RunPoliciesContext(ctx, cfg, 1, newPolicy())
+			sim, err := core.NewSimulator(cfg, newPolicy(), core.WithWorkers(1))
 			if err != nil {
 				return nil, err
 			}
-			return reports[0], nil
+			return sim.RunContext(ctx)
 		})
 }
 

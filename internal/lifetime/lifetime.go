@@ -1,6 +1,6 @@
 // Package lifetime provides the reliability mathematics around the wearout
-// simulators: Black's-equation time-to-failure, lognormal failure
-// populations with percentile (B10) estimates, and the guardband/margin
+// simulators: Black's-equation time-to-failure and acceleration factors,
+// the alpha-power delay of a BTI-shifted path, and the guardband/margin
 // accounting used to quantify the paper's headline claim — that scheduled
 // active recovery lets designers shrink wearout guardbands fundamentally.
 package lifetime
@@ -9,9 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 
-	"deepheal/internal/rngx"
 	"deepheal/internal/units"
 )
 
@@ -69,59 +67,6 @@ func (p BlackParams) AccelerationFactor(jAccel units.CurrentDensity, tAccel unit
 		return 0, err
 	}
 	return use / acc, nil
-}
-
-// Population is a lognormal failure-time population.
-type Population struct {
-	// MedianS is the median time to failure in seconds.
-	MedianS float64
-	// Sigma is the lognormal shape parameter.
-	Sigma float64
-}
-
-// Validate reports whether the population is well formed.
-func (p Population) Validate() error {
-	if p.MedianS <= 0 || p.Sigma <= 0 {
-		return errors.New("lifetime: population needs positive median and sigma")
-	}
-	return nil
-}
-
-// Sample draws n failure times.
-func (p Population) Sample(rng *rngx.Source, n int) ([]float64, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	if rng == nil || n <= 0 {
-		return nil, errors.New("lifetime: need rng and positive n")
-	}
-	mu := math.Log(p.MedianS)
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = rng.LogNormal(mu, p.Sigma)
-	}
-	return out, nil
-}
-
-// Percentile estimates the time by which the given fraction (e.g. 0.10 for
-// B10) of a sampled population has failed.
-func Percentile(samples []float64, frac float64) (float64, error) {
-	if len(samples) == 0 {
-		return 0, errors.New("lifetime: empty sample")
-	}
-	if frac <= 0 || frac >= 1 {
-		return 0, fmt.Errorf("lifetime: fraction %g outside (0,1)", frac)
-	}
-	s := make([]float64, len(samples))
-	copy(s, samples)
-	sort.Float64s(s)
-	idx := frac * float64(len(s)-1)
-	lo := int(idx)
-	if lo >= len(s)-1 {
-		return s[len(s)-1], nil
-	}
-	w := idx - float64(lo)
-	return s[lo]*(1-w) + s[lo+1]*w, nil
 }
 
 // Margin quantifies a guardband: the fractional performance reserve a

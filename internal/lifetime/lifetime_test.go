@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"deepheal/internal/rngx"
 	"deepheal/internal/units"
 )
 
@@ -70,53 +69,6 @@ func TestBlackErrors(t *testing.T) {
 	bad := BlackParams{}
 	if _, err := bad.MTTF(jPaper, tempPaper); err == nil {
 		t.Error("invalid params accepted")
-	}
-}
-
-func TestPopulationSampleStatistics(t *testing.T) {
-	pop := Population{MedianS: 1e6, Sigma: 0.5}
-	samples, err := pop.Sample(rngx.New(5), 20000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	med, err := Percentile(samples, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(math.Log(med/1e6)) > 0.05 {
-		t.Errorf("sample median %g, want ≈1e6", med)
-	}
-	b10, err := Percentile(samples, 0.10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := 1e6 * math.Exp(-1.2816*0.5) // lognormal 10th percentile
-	if math.Abs(math.Log(b10/want)) > 0.08 {
-		t.Errorf("B10 = %g, want ≈%g", b10, want)
-	}
-}
-
-func TestPopulationErrors(t *testing.T) {
-	if _, err := (Population{}).Sample(rngx.New(1), 5); err == nil {
-		t.Error("invalid population accepted")
-	}
-	if _, err := (Population{MedianS: 1, Sigma: 1}).Sample(nil, 5); err == nil {
-		t.Error("nil rng accepted")
-	}
-	if _, err := Percentile(nil, 0.1); err == nil {
-		t.Error("empty sample accepted")
-	}
-	if _, err := Percentile([]float64{1}, 1.5); err == nil {
-		t.Error("bad fraction accepted")
-	}
-}
-
-func TestPercentileOrdering(t *testing.T) {
-	samples := []float64{5, 1, 4, 2, 3}
-	p10, _ := Percentile(samples, 0.1)
-	p90, _ := Percentile(samples, 0.9)
-	if p10 >= p90 {
-		t.Errorf("P10 %g >= P90 %g", p10, p90)
 	}
 }
 

@@ -2,7 +2,6 @@ package mathx
 
 import (
 	"fmt"
-	"math"
 	"sort"
 )
 
@@ -67,14 +66,5 @@ func Linspace(a, b float64, n int) []float64 {
 		out[i] = a + float64(i)*step
 	}
 	out[n-1] = b
-	return out
-}
-
-// Logspace returns n logarithmically spaced values from 10^a to 10^b.
-func Logspace(a, b float64, n int) []float64 {
-	out := Linspace(a, b, n)
-	for i, v := range out {
-		out[i] = math.Pow(10, v)
-	}
 	return out
 }

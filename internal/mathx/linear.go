@@ -1,11 +1,12 @@
 // Package mathx implements the numerical substrate used by the wearout
-// simulators: dense and banded linear solvers, an iterative conjugate
-// gradient solver for sparse symmetric systems, explicit and implicit ODE
-// steppers, scalar root finding, interpolation and descriptive statistics.
+// simulators: dense and tridiagonal linear solvers, a sparse Cholesky
+// factorization with a conjugate-gradient fallback for sparse symmetric
+// systems, scalar root finding, interpolation and descriptive statistics.
 //
 // Everything here is deterministic and allocation-conscious; the solvers are
 // small but complete enough to back a SPICE-like circuit engine, a power
-// grid solver and a 1-D PDE integrator without external dependencies.
+// grid and thermal solver and a 1-D PDE integrator without external
+// dependencies.
 package mathx
 
 import (

@@ -35,5 +35,5 @@ func EnableMetrics(r *obs.Registry) {
 	metCholSolves = r.Counter("deepheal_cholesky_solves_total",
 		"triangular solves through a Cholesky factor")
 	metCholFallbacks = r.Counter("deepheal_cholesky_fallbacks_total",
-		"direct solves that fell back to CG (injected or residual miss)")
+		"direct solves that failed (injected divergence) or fell back to CG (residual miss)")
 }

@@ -18,8 +18,7 @@ import (
 //
 // Fault injection: exactly one SiteCGDiverge probe fires per Solve, in
 // whichever mode the solver runs — an injected divergence makes the solve
-// fail outright (no silent rescue), preserving the chaos semantics callers
-// built their degraded paths on.
+// fail outright (no silent rescue), and the caller surfaces the error.
 //
 // Not safe for concurrent use; the returned solution slice is reused by the
 // next Solve.

@@ -73,16 +73,6 @@ func TestLinspace(t *testing.T) {
 	}
 }
 
-func TestLogspace(t *testing.T) {
-	v := Logspace(0, 3, 4)
-	want := []float64{1, 10, 100, 1000}
-	for i := range v {
-		if !AlmostEqual(v[i], want[i], 1e-12) {
-			t.Errorf("Logspace[%d] = %g, want %g", i, v[i], want[i])
-		}
-	}
-}
-
 func TestInterpolator(t *testing.T) {
 	in, err := NewInterpolator([]float64{0, 1, 2}, []float64{0, 10, 0})
 	if err != nil {

@@ -9,9 +9,8 @@ import (
 // the scenario's failure criterion — the quantity a designer budgets
 // guardband for.
 type Readout interface {
-	// Name identifies the criterion; Unit its reporting unit.
+	// Name identifies the criterion.
 	Name() string
-	Unit() string
 	// Signature is a stable content string covering every constant that
 	// affects Metric; scenario content hashes include it.
 	Signature() string
@@ -42,11 +41,6 @@ var _ Readout = CriticalPath{}
 
 // Name implements Readout.
 func (CriticalPath) Name() string { return "critical-path delay" }
-
-// Unit implements Readout. Delays are in arbitrary units: only ratios
-// against the fresh structure are meaningful, exactly like the chip's
-// guardband accounting.
-func (CriticalPath) Unit() string { return "a.u." }
 
 // Signature implements Readout.
 func (r CriticalPath) Signature() string {
@@ -90,9 +84,6 @@ var _ Readout = MinMargin{}
 
 // Name implements Readout.
 func (MinMargin) Name() string { return "min bit margin" }
-
-// Unit implements Readout.
-func (MinMargin) Unit() string { return "V" }
 
 // Signature implements Readout.
 func (r MinMargin) Signature() string {

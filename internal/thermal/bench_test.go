@@ -17,19 +17,3 @@ func BenchmarkSteadyState(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkStep measures one backward-Euler transient step at a fixed dt —
-// the case the per-dt operator cache is built for.
-func BenchmarkStep(b *testing.B) {
-	g := MustNewGrid(8, 8, DefaultConfig())
-	power := make([]float64, 64)
-	for i := range power {
-		power[i] = 2
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := g.Step(power, 0.5); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -6,10 +6,8 @@ import "deepheal/internal/obs"
 // no-ops) until EnableMetrics installs live ones. CG iteration counts for
 // the solves themselves live in internal/mathx.
 var (
-	metOperatorBuilds  *obs.Counter
-	metSettles         *obs.Counter
-	metSteps           *obs.Counter
-	metSolverFallbacks *obs.Counter
+	metOperatorBuilds *obs.Counter
+	metSettles        *obs.Counter
 )
 
 // EnableMetrics registers the package's instruments in r. Pass nil to
@@ -20,8 +18,4 @@ func EnableMetrics(r *obs.Registry) {
 		"thermal operator (CSR + preconditioner) assemblies; cached operators make these rare")
 	metSettles = r.Counter("deepheal_thermal_settles_total",
 		"steady-state thermal solves")
-	metSteps = r.Counter("deepheal_thermal_transient_steps_total",
-		"backward-Euler transient thermal steps")
-	metSolverFallbacks = r.Counter("deepheal_solver_fallbacks_total",
-		"transient thermal solves that fell back to the steady-state operator after CG non-convergence")
 }

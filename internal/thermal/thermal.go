@@ -1,7 +1,7 @@
-// Package thermal provides a tile-grid RC thermal model of a die: every
+// Package thermal provides a tile-grid thermal model of a die: every
 // floorplan tile exchanges heat laterally with its neighbours and vertically
-// with the ambient through the package. It supports steady-state solves and
-// backward-Euler transients, and is the substrate behind the paper's
+// with the ambient through the package. It solves for the steady-state
+// field of a power map, and is the substrate behind the paper's
 // observation that heat from neighbouring active blocks can be recycled to
 // accelerate the recovery of idle blocks (Fig. 12a).
 package thermal
@@ -20,7 +20,8 @@ type Config struct {
 	RVertical float64
 	// RLateral is the tile→tile thermal resistance (K/W).
 	RLateral float64
-	// HeatCapacity is the tile heat capacity (J/K).
+	// HeatCapacity is the tile heat capacity (J/K). The steady-state solve
+	// does not read it; Validate and the snapshot frame still carry it.
 	HeatCapacity float64
 	// Ambient is the package/heatsink reference temperature.
 	Ambient units.Temperature
@@ -52,10 +53,8 @@ func (c Config) Validate() error {
 
 // Grid is a rows×cols tile thermal network.
 //
-// The solve operators depend only on (cfg, dt), so they are assembled once
-// and cached: the conductance matrix G for steady states at construction,
-// and the backward-Euler operator (G + C/dt·I) lazily per dt. Each cached
-// operator keeps a mathx.SPDSolver, which factors the operator once (sparse
+// The conductance matrix G depends only on cfg, so it is assembled once at
+// construction and kept in a mathx.SPDSolver, which factors it once (sparse
 // envelope Cholesky) and answers every subsequent solve with two triangular
 // sweeps — no iteration — falling back to Jacobi-CG only when the operator
 // refuses to factor. The per-solve rhs/rise buffers are preallocated, so a
@@ -66,15 +65,9 @@ type Grid struct {
 	ambientK   float64   // cfg.Ambient.K(), hoisted out of the hot loops
 	temps      []float64 // kelvin
 
-	mat    *mathx.CSR       // conductance G (steady-state operator)
-	steady *mathx.SPDSolver // factored solver for mat
+	steady *mathx.SPDSolver // factored solver for the conductance G
 
-	stepDt  float64          // dt of the cached transient operator, 0 = none
-	stepMat *mathx.CSR       // (G + C/dt·I) for stepDt
-	stepSol *mathx.SPDSolver // factored solver for stepMat
-
-	rhs, rise []float64     // per-solve scratch
-	coords    []mathx.Coord // operator-assembly scratch
+	rhs, rise []float64 // per-solve scratch
 }
 
 // NewGrid builds a grid at ambient temperature.
@@ -96,8 +89,7 @@ func NewGrid(rows, cols int, cfg Config) (*Grid, error) {
 	for i := range g.temps {
 		g.temps[i] = g.ambientK
 	}
-	g.mat = g.operator(0)
-	steady, err := mathx.NewSPDSolver(g.mat)
+	steady, err := mathx.NewSPDSolver(g.operator())
 	if err != nil {
 		return nil, fmt.Errorf("thermal: %w", err)
 	}
@@ -148,20 +140,17 @@ func (g *Grid) TemperaturesInto(dst []units.Temperature) []units.Temperature {
 	return dst
 }
 
-// operator assembles the (SPD) thermal operator G + extraDiag·I: the
-// conductance matrix for steady states (extraDiag = 0), the backward-Euler
-// operator with extraDiag = C/dt. The coordinate scratch is reused across
-// assemblies; mathx.NewCSR copies it.
-func (g *Grid) operator(extraDiag float64) *mathx.CSR {
+// operator assembles the (SPD) conductance matrix G.
+func (g *Grid) operator() *mathx.CSR {
 	metOperatorBuilds.Inc()
 	n := g.rows * g.cols
 	gl := 1 / g.cfg.RLateral
 	gv := 1 / g.cfg.RVertical
-	entries := g.coords[:0]
+	var entries []mathx.Coord
 	for r := 0; r < g.rows; r++ {
 		for c := 0; c < g.cols; c++ {
 			i := g.Index(r, c)
-			diag := gv + extraDiag
+			diag := gv
 			for _, d := range [4][2]int{{1, 0}, {-1, 0}, {0, 1}, {0, -1}} {
 				nr, nc := r+d[0], c+d[1]
 				if nr < 0 || nr >= g.rows || nc < 0 || nc >= g.cols {
@@ -174,7 +163,6 @@ func (g *Grid) operator(extraDiag float64) *mathx.CSR {
 			entries = append(entries, mathx.Coord{Row: i, Col: i, Val: diag})
 		}
 	}
-	g.coords = entries
 	return mathx.NewCSR(n, entries)
 }
 
@@ -211,55 +199,6 @@ func (g *Grid) Settle(power []float64) error {
 	}
 	for i := range g.temps {
 		g.temps[i] = g.ambientK + rise[i]
-	}
-	return nil
-}
-
-// Step advances the transient by dt seconds under the given power map using
-// backward Euler: (C/dt + G)·ΔT' = P + C/dt·ΔT. The operator depends only
-// on (cfg, dt), so it is assembled once per distinct dt and reused — fixed-
-// quantum simulations never reassemble it.
-func (g *Grid) Step(power []float64, dt float64) error {
-	metSteps.Inc()
-	n := g.rows * g.cols
-	if len(power) != n {
-		return fmt.Errorf("thermal: power map has %d tiles, want %d", len(power), n)
-	}
-	if dt <= 0 {
-		return errors.New("thermal: step must be positive")
-	}
-	cdt := g.cfg.HeatCapacity / dt
-	if g.stepMat == nil || g.stepDt != dt {
-		mat := g.operator(cdt)
-		sol, err := mathx.NewSPDSolver(mat)
-		if err != nil {
-			return fmt.Errorf("thermal: transient step: %w", err)
-		}
-		// Adopt the new operator only once the solver exists, so a failed
-		// assembly never leaves a stepMat paired with a stale stepSol.
-		g.stepMat, g.stepSol, g.stepDt = mat, sol, dt
-	}
-	rhs, rise := g.rhs, g.rise
-	for i := range rhs {
-		rise[i] = g.temps[i] - g.ambientK
-		rhs[i] = power[i] + cdt*rise[i]
-	}
-	sol, _, err := g.stepSol.Solve(rhs, rise, mathx.CGOptions{})
-	if err != nil {
-		// Degraded mode: if the backward-Euler solve did not converge, jump
-		// the field to the equilibrium for this power map via the cached
-		// steady-state operator. That overshoots the transient (the field
-		// lands where it would settle, not where it would be after dt) but
-		// keeps long campaigns alive; the fallback counter records the loss
-		// of transient fidelity.
-		metSolverFallbacks.Inc()
-		if ferr := g.Settle(power); ferr != nil {
-			return fmt.Errorf("thermal: transient step: %w (steady-state fallback: %v)", err, ferr)
-		}
-		return nil
-	}
-	for i := range g.temps {
-		g.temps[i] = g.ambientK + sol[i]
 	}
 	return nil
 }

@@ -12,8 +12,6 @@ import (
 const (
 	// BoltzmannEV is the Boltzmann constant in electron-volts per kelvin.
 	BoltzmannEV = 8.617333262e-5
-	// ElementaryCharge is the charge of an electron in coulombs.
-	ElementaryCharge = 1.602176634e-19
 	// ZeroCelsiusK is 0 degrees Celsius expressed in kelvin.
 	ZeroCelsiusK = 273.15
 )
