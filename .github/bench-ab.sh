@@ -14,8 +14,9 @@
 # benchmark exits with its own status.
 set -euo pipefail
 
-# The tracked set: the numerical kernels and the system simulator.
-PACKAGES="bti em circuit mathx pdn thermal core fleet scenario"
+# The tracked set: the numerical kernels, the RNG seeding and replay, and
+# the system simulator.
+PACKAGES="bti em circuit mathx pdn thermal rngx core fleet scenario"
 ROUNDS=5        # alternating rounds per side
 BENCHTIME=200x  # per round: each side runs 1000 iterations per benchmark
 FACTOR=2        # fail when head median / base median exceeds this ...

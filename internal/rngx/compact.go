@@ -35,14 +35,14 @@ func (s *Source) Restore(data []byte, maxDraws int64) error {
 		return fmt.Errorf("rngx: restore: bad magic")
 	}
 	rest := data[1:]
-	seed, n := binary.Varint(rest)
+	seed, n := readVarint(rest)
 	if n <= 0 {
-		return fmt.Errorf("rngx: restore: truncated seed")
+		return fmt.Errorf("rngx: restore: bad seed")
 	}
 	rest = rest[n:]
-	count, n := binary.Uvarint(rest)
+	count, n := readUvarint(rest)
 	if n <= 0 {
-		return fmt.Errorf("rngx: restore: truncated run count")
+		return fmt.Errorf("rngx: restore: bad run count")
 	}
 	rest = rest[n:]
 	// Each run occupies at least three bytes (kind plus two varints), so a
@@ -57,14 +57,14 @@ func (s *Source) Restore(data []byte, maxDraws int64) error {
 		}
 		kind := rest[0]
 		rest = rest[1:]
-		arg, n := binary.Varint(rest)
+		arg, n := readVarint(rest)
 		if n <= 0 {
-			return fmt.Errorf("rngx: restore: truncated arg in run %d", i)
+			return fmt.Errorf("rngx: restore: bad arg in run %d", i)
 		}
 		rest = rest[n:]
-		cnt, n := binary.Uvarint(rest)
+		cnt, n := readUvarint(rest)
 		if n <= 0 {
-			return fmt.Errorf("rngx: restore: truncated count in run %d", i)
+			return fmt.Errorf("rngx: restore: bad count in run %d", i)
 		}
 		rest = rest[n:]
 		runs = append(runs, opRun{Kind: kind, Arg: arg, Count: int64(cnt)})
@@ -73,4 +73,26 @@ func (s *Source) Restore(data []byte, maxDraws int64) error {
 		return fmt.Errorf("rngx: restore: %d trailing bytes", len(rest))
 	}
 	return s.replay(seed, runs, maxDraws)
+}
+
+// readUvarint decodes a uvarint as binary.Uvarint does, but refuses any
+// longer than the shortest form (one ending in a zero byte), so that a
+// payload Restore accepts is byte for byte what Snapshot writes back.
+func readUvarint(b []byte) (uint64, int) {
+	v, n := binary.Uvarint(b)
+	if n > 1 && b[n-1] == 0 {
+		return 0, -n
+	}
+	return v, n
+}
+
+// readVarint is readUvarint for the zig-zag signed varints of
+// binary.AppendVarint.
+func readVarint(b []byte) (int64, int) {
+	u, n := readUvarint(b)
+	v := int64(u >> 1)
+	if u&1 != 0 {
+		v = ^v
+	}
+	return v, n
 }

@@ -52,9 +52,10 @@ func (s *Source) record(kind byte, arg int64) {
 }
 
 // New creates a Source from a seed. The same seed always yields the same
-// sequence, which keeps every experiment byte-for-byte reproducible.
+// sequence, which keeps every experiment byte-for-byte reproducible. The
+// sequence is the one rand.New(rand.NewSource(seed)) gives (see lfgSource).
 func New(seed int64) *Source {
-	return &Source{rng: rand.New(rand.NewSource(seed)), seed: seed}
+	return &Source{rng: rand.New(newLFG(seed)), seed: seed}
 }
 
 // Split derives an independent child stream labelled by id. Children of the
@@ -216,7 +217,7 @@ func (s *Source) replay(seed int64, runs []opRun, maxDraws int64) error {
 	rng := s.rng
 	from, done, ok := s.prefixOf(runs)
 	if rng == nil || seed != s.seed || !ok {
-		rng, from, done = rand.New(rand.NewSource(seed)), 0, 0
+		rng, from, done = rand.New(newLFG(seed)), 0, 0
 	}
 	for i := from; i < len(runs); i++ {
 		advance(rng, runs[i], runs[i].Count-done)
