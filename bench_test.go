@@ -238,7 +238,8 @@ func BenchmarkSystemStep(b *testing.B) {
 // benchCampaign runs the full registered experiment suite through the
 // campaign engine at the given worker count, so the serial/parallel pair
 // below measures the wall-clock effect of fanning points across cores
-// (identical output is asserted by TestCampaignParallelMatchesSerial).
+// (identical output is asserted by TestOutputIdentity/parallel in
+// internal/experiments).
 func benchCampaign(b *testing.B, workers int) {
 	for i := 0; i < b.N; i++ {
 		if _, err := deepheal.RunCampaign(context.Background(), nil, deepheal.CampaignOptions{Workers: workers}); err != nil {

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"deepheal/internal/campaign"
@@ -31,33 +32,63 @@ func readOutputs(t *testing.T, dir string) map[string]string {
 	return files
 }
 
-// assertSameOutputs compares two artifact directories byte for byte. Stdout
-// carries wall-clock timings, so the -o files are the byte-identical surface.
-func assertSameOutputs(t *testing.T, serialDir, distDir string) {
+// assertSameOutputs compares another run's artifact directory with the
+// serial one byte for byte. Stdout carries wall-clock timings, so the -o
+// files are the byte-identical surface.
+func assertSameOutputs(t *testing.T, serialDir, otherDir string) {
 	t.Helper()
-	serial, dist := readOutputs(t, serialDir), readOutputs(t, distDir)
-	if len(serial) == 0 || len(serial) != len(dist) {
-		t.Fatalf("file sets differ: serial %d, distributed %d", len(serial), len(dist))
+	serial, other := readOutputs(t, serialDir), readOutputs(t, otherDir)
+	if len(serial) == 0 || len(serial) != len(other) {
+		t.Fatalf("file sets differ: serial %d, other %d", len(serial), len(other))
 	}
 	for name, want := range serial {
-		if got, ok := dist[name]; !ok {
-			t.Errorf("distributed run missing %s", name)
+		if got, ok := other[name]; !ok {
+			t.Errorf("run missing %s", name)
 		} else if got != want {
-			t.Errorf("%s: distributed output differs from serial", name)
+			t.Errorf("%s: output differs from serial", name)
 		}
 	}
 }
 
+// serialIDs is the selection the coordinate tests distribute; serialOutputs
+// holds its serial -o artifacts.
+var serialIDs = []string{"table1", "fig4"}
+
+var serialRun struct {
+	once sync.Once
+	dir  string
+	err  error
+}
+
+// serialOutputs returns the directory of a serial `-q -o dir table1 fig4`
+// run, made once per test binary; TestMain removes it.
+func serialOutputs(t *testing.T) string {
+	t.Helper()
+	serialRun.once.Do(func() {
+		if serialRun.dir, serialRun.err = os.MkdirTemp("", "deepheal-serial-"); serialRun.err == nil {
+			serialRun.err = run(context.Background(), append([]string{"-q", "-o", serialRun.dir}, serialIDs...))
+		}
+	})
+	if serialRun.err != nil {
+		t.Fatalf("serial reference run: %v", serialRun.err)
+	}
+	return serialRun.dir
+}
+
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if serialRun.dir != "" {
+		os.RemoveAll(serialRun.dir)
+	}
+	os.Exit(code)
+}
+
 func TestCoordinateMatchesSerial(t *testing.T) {
-	ids := []string{"table1", "fig4"}
-	serialDir, distDir := t.TempDir(), t.TempDir()
+	ids := serialIDs
+	serialDir, distDir := serialOutputs(t), t.TempDir()
 	campDir := filepath.Join(t.TempDir(), "camp")
 
-	args := append([]string{"-q", "-o", serialDir}, ids...)
-	if err := run(context.Background(), args); err != nil {
-		t.Fatal(err)
-	}
-	args = append([]string{"coordinate", "-dir", campDir, "-local-workers", "2", "-q", "-o", distDir}, ids...)
+	args := append([]string{"coordinate", "-dir", campDir, "-local-workers", "2", "-q", "-o", distDir}, ids...)
 	if err := run(context.Background(), args); err != nil {
 		t.Fatal(err)
 	}
@@ -79,19 +110,15 @@ func TestCoordinateMatchesSerial(t *testing.T) {
 }
 
 func TestCoordinateSurvivesWorkerDeath(t *testing.T) {
-	ids := []string{"table1", "fig4"}
-	serialDir, distDir := t.TempDir(), t.TempDir()
+	ids := serialIDs
+	serialDir, distDir := serialOutputs(t), t.TempDir()
 	campDir := filepath.Join(t.TempDir(), "camp")
 
-	args := append([]string{"-q", "-o", serialDir}, ids...)
-	if err := run(context.Background(), args); err != nil {
-		t.Fatal(err)
-	}
 	// One of the two local workers dies (injected) after its second computed
 	// point, abandoning an unrecorded result and a live lease. The survivor
 	// steals the lease once the short TTL expires and the merged output must
 	// still be byte-identical.
-	args = append([]string{
+	args := append([]string{
 		"coordinate", "-dir", campDir, "-local-workers", "2",
 		"-lease-ttl", "500ms", "-poll", "50ms",
 		"-faults", "worker-die:occ=2", "-fault-seed", "7",
@@ -149,17 +176,13 @@ func TestDistVerbValidation(t *testing.T) {
 // point (resume metric), execute only the remainder, and emit output
 // byte-identical to a serial run.
 func TestCoordinateKillAndResume(t *testing.T) {
-	ids := []string{"table1", "fig4"}
-	serialDir, distDir := t.TempDir(), t.TempDir()
+	ids := serialIDs
+	serialDir, distDir := serialOutputs(t), t.TempDir()
 	campDir := filepath.Join(t.TempDir(), "camp")
-	args := append([]string{"-q", "-o", serialDir}, ids...)
-	if err := run(context.Background(), args); err != nil {
-		t.Fatal(err)
-	}
 
 	// First life: the coordinator dies on the second drain progress change —
 	// after at least one point is banked in a shard, before the merge.
-	args = append([]string{
+	args := append([]string{
 		"coordinate", "-dir", campDir, "-local-workers", "2", "-poll", "20ms",
 		"-faults", "coordinator-die:occ=2", "-q", "-o", t.TempDir(),
 	}, ids...)
@@ -218,15 +241,11 @@ func TestCoordinateKillAndResume(t *testing.T) {
 // error), and still produce byte-identical output for the healthy
 // experiment.
 func TestCoordinatePoisonPointQuarantine(t *testing.T) {
-	ids := []string{"table1", "fig4"}
-	serialDir, distDir := t.TempDir(), t.TempDir()
+	ids := serialIDs
+	serialDir, distDir := serialOutputs(t), t.TempDir()
 	campDir := filepath.Join(t.TempDir(), "camp")
-	args := append([]string{"-q", "-o", serialDir}, ids...)
-	if err := run(context.Background(), args); err != nil {
-		t.Fatal(err)
-	}
 
-	args = append([]string{
+	args := append([]string{
 		"coordinate", "-dir", campDir, "-local-workers", "1", "-respawn-local",
 		"-max-attempts", "2", "-lease-ttl", "200ms", "-poll", "20ms",
 		"-faults", "worker-die:key=table1/no3",

@@ -68,23 +68,6 @@ func TestRunInterspersedFlags(t *testing.T) {
 
 func TestRunParallelOutputMatchesSerial(t *testing.T) {
 	ids := []string{"table1", "fig4", "fig5"}
-	read := func(dir string) map[string]string {
-		t.Helper()
-		entries, err := os.ReadDir(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		files := make(map[string]string, len(entries))
-		for _, e := range entries {
-			data, err := os.ReadFile(filepath.Join(dir, e.Name()))
-			if err != nil {
-				t.Fatal(err)
-			}
-			files[e.Name()] = string(data)
-		}
-		return files
-	}
-
 	serialDir, parallelDir := t.TempDir(), t.TempDir()
 	args := append([]string{"-q", "-o", serialDir}, ids...)
 	if err := run(context.Background(), args); err != nil {
@@ -94,18 +77,7 @@ func TestRunParallelOutputMatchesSerial(t *testing.T) {
 	if err := run(context.Background(), args); err != nil {
 		t.Fatal(err)
 	}
-
-	serial, parallel := read(serialDir), read(parallelDir)
-	if len(serial) == 0 || len(serial) != len(parallel) {
-		t.Fatalf("file sets differ: serial %d, parallel %d", len(serial), len(parallel))
-	}
-	for name, want := range serial {
-		if got, ok := parallel[name]; !ok {
-			t.Errorf("parallel run missing %s", name)
-		} else if got != want {
-			t.Errorf("%s: parallel output differs from serial", name)
-		}
-	}
+	assertSameOutputs(t, serialDir, parallelDir)
 }
 
 func TestRunResumeRestoresJournal(t *testing.T) {

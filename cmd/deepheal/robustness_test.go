@@ -98,7 +98,6 @@ func TestBadFaultSpecRejected(t *testing.T) {
 func TestChaosCampaignQuarantinesAndSurvivors(t *testing.T) {
 	chaosOut := t.TempDir()
 	resumeDir := t.TempDir()
-	cleanOut := t.TempDir()
 
 	err := run(context.Background(), []string{
 		"-q", "-o", chaosOut, "-resume", resumeDir,
@@ -143,11 +142,9 @@ func TestChaosCampaignQuarantinesAndSurvivors(t *testing.T) {
 
 	// Every experiment that did not own the quarantined point must have
 	// produced output identical to a fault-free run.
-	if err := run(context.Background(), []string{"-q", "-o", cleanOut, "table1", "fig4"}); err != nil {
-		t.Fatalf("clean run: %v", err)
-	}
+	cleanOut := serialOutputs(t)
 	survivors := 0
-	for _, id := range []string{"table1", "fig4"} {
+	for _, id := range serialIDs {
 		chaosPath := filepath.Join(chaosOut, id+".txt")
 		chaosBytes, err := os.ReadFile(chaosPath)
 		if errors.Is(err, os.ErrNotExist) {

@@ -310,54 +310,26 @@ func (r *run) execute(ti, pi int) {
 	switch {
 	case r.ctx.Err() != nil:
 		err = r.ctx.Err()
+	case p.Hash == "":
+		value, stat.Attempts, err = r.runPoint(p)
+		stat.Source = "run"
+	case r.preQuarantined(p):
+		err = &quarantineError{cause: errors.New(r.opts.Quarantined[p.Hash])}
+		stat.Source = "quarantined"
 	default:
-		var restored bool
-		if r.opts.Journal != nil && p.Hash != "" && p.New != nil {
-			if v, ok, jerr := r.opts.Journal.lookup(p.Hash, p.New); jerr == nil && ok {
-				value, restored = v, true
-				stat.Source, stat.Journaled = "journal", true
-				metPointsJournal.Inc()
-				// Seed the memo so an identical point this run shares the
-				// restored value instead of hitting the journal decoder again.
-				if p.Hash != "" {
-					r.memo.seed(p.Hash, v)
-				}
-			}
-		}
-		if !restored {
-			if msg, poisoned := r.opts.Quarantined[p.Hash]; poisoned && p.Hash != "" {
-				err = &quarantineError{cause: errors.New(msg)}
-				stat.Source = "quarantined"
-			} else if p.Hash != "" {
-				var fresh bool
-				attempts := 0
-				// Panic recovery and retries happen inside runPoint, inside
-				// the memo leader's fn: a panicking leader still closes the
-				// entry, so followers sharing the hash never deadlock.
-				value, err, fresh = r.memo.do(p.Hash, func() (any, error) {
-					v, n, rerr := r.runPoint(p)
-					attempts = n
-					return v, rerr
-				})
-				if fresh {
-					stat.Source = "run"
-					stat.Attempts = attempts
-					if err == nil && r.opts.Journal != nil {
-						var jerr error
-						stat.Journaled, jerr = r.opts.Journal.Record(p.Key, p.Hash, value, time.Since(start))
-						if jerr != nil {
-							stat.JournalErr = jerr.Error()
-							metJournalErrors.Inc()
-						}
-					}
-				} else {
-					stat.Source = "memo"
-					metPointsMemo.Inc()
-				}
-			} else {
-				value, stat.Attempts, err = r.runPoint(p)
-				stat.Source = "run"
-			}
+		// Only the memo leader for a hash restores from the journal or runs
+		// the point; every other point with that hash shares its value, so a
+		// duplicate counts as memo whichever way the leader got it. Panic
+		// recovery and retries happen inside runPoint, inside the leader's
+		// fn: a panicking leader still closes the entry, so followers never
+		// deadlock. fn runs on this goroutine, so it may fill in stat.
+		var fresh bool
+		value, err, fresh = r.memo.do(p.Hash, func() (any, error) {
+			return r.lead(p, &stat, start)
+		})
+		if !fresh {
+			stat.Source = "memo"
+			metPointsMemo.Inc()
 		}
 	}
 	if tracked != nil {
@@ -388,6 +360,39 @@ func (r *run) execute(ti, pi int) {
 	if last {
 		r.finishTask(ti)
 	}
+}
+
+// preQuarantined reports whether p is listed in Options.Quarantined and no
+// journal record can stand in for it: a completed value is better evidence
+// than a crash history.
+func (r *run) preQuarantined(p Point) bool {
+	if _, listed := r.opts.Quarantined[p.Hash]; !listed {
+		return false
+	}
+	return r.opts.Journal == nil || p.New == nil || !r.opts.Journal.Has(p.Hash)
+}
+
+// lead resolves a hashed point for its memo leader: restore it from the
+// journal when a record decodes, otherwise run it and journal the value.
+func (r *run) lead(p Point, stat *PointStat, start time.Time) (any, error) {
+	if r.opts.Journal != nil && p.New != nil {
+		if v, ok, jerr := r.opts.Journal.lookup(p.Hash, p.New); jerr == nil && ok {
+			stat.Source, stat.Journaled = "journal", true
+			metPointsJournal.Inc()
+			return v, nil
+		}
+	}
+	v, attempts, err := r.runPoint(p)
+	stat.Source, stat.Attempts = "run", attempts
+	if err == nil && r.opts.Journal != nil {
+		var jerr error
+		stat.Journaled, jerr = r.opts.Journal.Record(p.Key, p.Hash, v, time.Since(start))
+		if jerr != nil {
+			stat.JournalErr = jerr.Error()
+			metJournalErrors.Inc()
+		}
+	}
+	return v, err
 }
 
 // finishTask assembles a completed task and delivers any outcomes that are

@@ -384,8 +384,8 @@ func TestStealContentionExactlyOnce(t *testing.T) {
 	}
 	for _, o := range dist {
 		for _, p := range o.Points {
-			if p.Source != "journal" {
-				t.Errorf("point %s source %q, want journal (exactly-once via shard dedup)", p.Key, p.Source)
+			if want := assembledSource(p.Key); p.Source != want {
+				t.Errorf("point %s source %q, want %s (exactly-once via shard dedup)", p.Key, p.Source, want)
 			}
 		}
 	}

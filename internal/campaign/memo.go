@@ -37,17 +37,3 @@ func (c *memo) do(hash string, fn func() (any, error)) (value any, err error, fr
 	close(e.done)
 	return e.value, e.err, true
 }
-
-// seed installs an already-known value (e.g. restored from the journal) so
-// later points with the same hash skip both the journal and the compute.
-// A hash that is already present keeps its first value.
-func (c *memo) seed(hash string, value any) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.m[hash]; ok {
-		return
-	}
-	e := &memoEntry{done: make(chan struct{}), value: value}
-	close(e.done)
-	c.m[hash] = e
-}

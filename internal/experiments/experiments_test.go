@@ -5,23 +5,7 @@ import (
 	"math"
 	"strings"
 	"testing"
-
-	"deepheal/internal/golden"
 )
-
-// runAs executes experiment id through Run and returns its typed result.
-func runAs[R Result](tb testing.TB, id string) R {
-	tb.Helper()
-	res, err := Run(context.Background(), id)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	r, ok := res.(R)
-	if !ok {
-		tb.Fatalf("%s assembled a %T", id, res)
-	}
-	return r
-}
 
 func TestRegistryRunsEverything(t *testing.T) {
 	if len(IDs()) < 11 {
@@ -36,27 +20,23 @@ func TestRegistryRunsEverything(t *testing.T) {
 
 func TestAllResultsFormat(t *testing.T) {
 	for _, id := range IDs() {
-		id := id
 		t.Run(id, func(t *testing.T) {
-			res, err := Run(context.Background(), id)
-			if err != nil {
-				t.Fatal(err)
-			}
+			ref := reference(t, id)
+			res := ref.res
 			if res.ID() != id {
 				t.Errorf("ID() = %q, want %q", res.ID(), id)
 			}
 			if res.Title() == "" {
 				t.Error("empty title")
 			}
-			out := res.Format()
+			out := string(ref.format)
 			if len(out) < 50 {
 				t.Errorf("suspiciously short output: %q", out)
 			}
 			if strings.Contains(out, "NaN") {
 				t.Error("output contains NaN")
 			}
-			golden.Check(t, "testdata/format.sha256", id, []byte(out))
-			golden.Check(t, "testdata/value.sha256", id, golden.Render(res))
+			checkDigests(t, id, ref.format, ref.value)
 		})
 	}
 }

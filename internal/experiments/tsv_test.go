@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"strings"
 	"testing"
 )
@@ -9,13 +8,8 @@ import (
 func TestTSVExporters(t *testing.T) {
 	exporters := []string{"table1", "fig4", "fig5", "fig6", "fig7", "fig9", "fig10", "fig12"}
 	for _, id := range exporters {
-		id := id
 		t.Run(id, func(t *testing.T) {
-			res, err := Run(context.Background(), id)
-			if err != nil {
-				t.Fatal(err)
-			}
-			exp, ok := res.(TSVExporter)
+			exp, ok := reference(t, id).res.(TSVExporter)
 			if !ok {
 				t.Fatalf("%s does not export TSV", id)
 			}

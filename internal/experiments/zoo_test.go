@@ -2,163 +2,10 @@ package experiments
 
 import (
 	"context"
-	"fmt"
 	"sort"
 	"strings"
-	"sync"
 	"testing"
-	"time"
-
-	"deepheal/internal/campaign"
-	"deepheal/internal/campaign/dist"
 )
-
-// formatCampaign runs the experiments with the given worker count and
-// options, returning each assembled result's Format output.
-func formatCampaign(t *testing.T, ids []string, workers int, j *campaign.Journal) []string {
-	t.Helper()
-	tasks, err := Plans(ids...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	outcomes, err := campaign.Run(context.Background(), tasks, campaign.Options{Workers: workers, Journal: j})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := make([]string, len(outcomes))
-	for i, o := range outcomes {
-		if o.Err != nil {
-			t.Fatalf("%s: %v", o.Task, o.Err)
-		}
-		out[i] = o.Value.(Result).Format()
-	}
-	return out
-}
-
-// TestZooParallelMatchesSerial is the per-experiment golden: each zoo
-// experiment's parallel output is byte-identical to serial.
-func TestZooParallelMatchesSerial(t *testing.T) {
-	if testing.Short() {
-		t.Skip("zoo campaign comparison is not short")
-	}
-	for _, id := range []string{"decoder", "dnnmem", "multiplier"} {
-		id := id
-		t.Run(id, func(t *testing.T) {
-			serial := formatCampaign(t, []string{id}, 1, nil)
-			parallel := formatCampaign(t, []string{id}, 4, nil)
-			if serial[0] != parallel[0] {
-				t.Errorf("parallel output diverged from serial:\n--- serial ---\n%s\n--- parallel ---\n%s", serial[0], parallel[0])
-			}
-		})
-	}
-}
-
-// TestMultiplierDeterministicAcrossWorkers pins the Monte Carlo sweep's
-// worker-count independence: the per-sample variation draws are seeded per
-// point, so 1, 2 and 4 workers must produce identical bytes.
-func TestMultiplierDeterministicAcrossWorkers(t *testing.T) {
-	if testing.Short() {
-		t.Skip("Monte Carlo sweep is not short")
-	}
-	var outputs []string
-	for _, workers := range []int{1, 2, 4} {
-		outputs = append(outputs, formatCampaign(t, []string{"multiplier"}, workers, nil)[0])
-	}
-	for i, out := range outputs[1:] {
-		if out != outputs[0] {
-			t.Errorf("workers=%d output diverged from workers=1:\n%s", []int{2, 4}[i], out)
-		}
-	}
-}
-
-// TestMultiplierDistributedMatchesSerial runs the variation sweep through
-// the full distributed-coordinator sequence — publish, two workers, shard
-// merge, assembly over the merged journal — and requires the merged output
-// byte-identical to a serial run, with every point actually computed by the
-// workers rather than the assembly pass.
-func TestMultiplierDistributedMatchesSerial(t *testing.T) {
-	if testing.Short() {
-		t.Skip("distributed sweep is not short")
-	}
-	serial := formatCampaign(t, []string{"multiplier"}, 1, nil)[0]
-
-	dir := t.TempDir()
-	tasks, err := Plans("multiplier")
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := dist.Publish(dir, []string{"multiplier"}, tasks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(m.Points) != len(tasks[0].Points) {
-		t.Fatalf("manifest has %d points, want %d", len(m.Points), len(tasks[0].Points))
-	}
-	var wg sync.WaitGroup
-	errs := make([]error, 2)
-	for w := 0; w < 2; w++ {
-		w := w
-		// Workers rebuild their tasks from the registry by experiment id,
-		// exactly like `deepheal worker` does.
-		wtasks, err := Plans(m.Experiments...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			_, errs[w] = dist.RunWorker(context.Background(), dir, m, wtasks, dist.WorkerOptions{
-				ID:     fmt.Sprintf("w%d", w),
-				Poll:   5 * time.Millisecond,
-				NoSync: true,
-			})
-		}()
-	}
-	drainCtx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
-	defer cancel()
-	if err := dist.WaitDrained(drainCtx, dir, m, dist.DrainOptions{Poll: 5 * time.Millisecond}); err != nil {
-		t.Fatal(err)
-	}
-	wg.Wait()
-	for w, err := range errs {
-		if err != nil {
-			t.Fatalf("worker %d: %v", w, err)
-		}
-	}
-	st, err := dist.MergeShards(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Absorbed != len(m.Points) {
-		t.Errorf("merge absorbed %d records, want %d", st.Absorbed, len(m.Points))
-	}
-
-	j, err := campaign.OpenJournal(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j.Close()
-	tasks, err = Plans("multiplier")
-	if err != nil {
-		t.Fatal(err)
-	}
-	outcomes, err := campaign.Run(context.Background(), tasks, campaign.Options{Workers: 1, Journal: j})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if outcomes[0].Err != nil {
-		t.Fatal(outcomes[0].Err)
-	}
-	for _, ps := range outcomes[0].Points {
-		if ps.Source != "journal" {
-			t.Errorf("point %s satisfied by %q, want journal (worker-computed)", ps.Key, ps.Source)
-		}
-	}
-	merged := outcomes[0].Value.(Result).Format()
-	if merged != serial {
-		t.Errorf("distributed output diverged from serial:\n--- serial ---\n%s\n--- merged ---\n%s", serial, merged)
-	}
-}
 
 // TestZooRegistered checks the three structures are campaign experiments.
 func TestZooRegistered(t *testing.T) {

@@ -1,7 +1,9 @@
-// Package golden pins rendered outputs to committed sha256 digests. The
-// parallel, distributed and resume identity tests compare two runs of the
-// same build, so a change that moves every number the same way in every
-// mode passes them all; a committed digest catches it.
+// Package golden pins rendered outputs to committed sha256 digests. A
+// byte-for-byte comparison of two execution modes of the same build cannot
+// see a change that moves every number the same way in every mode; a
+// committed digest catches it. The experiments' output-identity harness
+// diffs each mode against a serial reference and checks both against the
+// digests.
 //
 // A digest file holds one "<sha256 hex>  <name>" line per output; blank
 // lines and lines starting with '#' are ignored. A deliberate output change
