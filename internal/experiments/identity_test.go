@@ -113,7 +113,7 @@ func TestOutputIdentity(t *testing.T) {
 	rows := []identityRow{
 		{"parallel", IDs(), onWorkers(8)},
 		{"workers-2", []string{"multiplier"}, onWorkers(2)},
-		{"workers-4", []string{"multiplier"}, onWorkers(4)},
+		{"workers-4", []string{"decoder", "dnnmem", "multiplier"}, onWorkers(4)},
 		{"journal-kill-resume", []string{"table1", "fig4", "variation"}, journalKillResume},
 		{"coordinate", []string{"multiplier"}, coordinate},
 		{"coordinate-worker-kill", []string{"table1", "fig4", "fig5"}, coordinateWorkerKill},
