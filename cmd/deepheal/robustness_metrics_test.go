@@ -30,7 +30,7 @@ func TestRobustnessMetricsExposition(t *testing.T) {
 	// One point errors on both of its attempts (occurrences 1 and 2 of the
 	// point-error site): attempt 1 fails and is retried (+1 retry), attempt
 	// 2 fails and exhausts the budget (+1 quarantined). The thermal grid's
-	// first solve diverges, so its Settle fails (+1 Cholesky fallback).
+	// first solve diverges, so its Settle fails (+1 Cholesky failure).
 	inj, err := faultinject.New(7, map[faultinject.Site]faultinject.Schedule{
 		faultinject.SitePointError: {Occurrences: []uint64{1, 2}},
 		faultinject.SiteCGDiverge:  {Occurrences: []uint64{1}},
@@ -69,7 +69,7 @@ func TestRobustnessMetricsExposition(t *testing.T) {
 	for name, want := range map[string]float64{
 		"deepheal_campaign_point_retries_total": 1,
 		"deepheal_campaign_points_quarantined":  1,
-		"deepheal_cholesky_fallbacks_total":     1,
+		"deepheal_cholesky_failures_total":      1,
 	} {
 		got, err := scrapeMetric(ts.URL+"/metrics", name)
 		if err != nil {
@@ -96,7 +96,7 @@ func TestRobustnessMetricsExposition(t *testing.T) {
 	if got := snap.Gauges["deepheal_campaign_points_quarantined"]; got != 1 {
 		t.Errorf("json deepheal_campaign_points_quarantined = %v, want 1", got)
 	}
-	if got := snap.Counters["deepheal_cholesky_fallbacks_total"]; got != 1 {
-		t.Errorf("json deepheal_cholesky_fallbacks_total = %d, want 1", got)
+	if got := snap.Counters["deepheal_cholesky_failures_total"]; got != 1 {
+		t.Errorf("json deepheal_cholesky_failures_total = %d, want 1", got)
 	}
 }

@@ -108,6 +108,12 @@ func LoadManifest(dir string) (*Manifest, error) {
 	if err != nil {
 		return nil, err
 	}
+	return parseManifest(data)
+}
+
+// parseManifest decodes a manifest file's bytes, refusing any version but
+// the one this build writes.
+func parseManifest(data []byte) (*Manifest, error) {
 	var m Manifest
 	if err := json.Unmarshal(data, &m); err != nil {
 		return nil, fmt.Errorf("dist: manifest: %w", err)
@@ -184,11 +190,11 @@ func leasePath(dir, hash string) string {
 
 // readLease parses the lease file at path. absent reports the file does not
 // exist (the claim was released). A lease that exists but cannot be parsed
-// — a torn write from a worker that crashed mid-create, an empty file,
-// trailing garbage — is reported as (zero lease, valid=false, absent=false,
-// nil error): to every caller a corrupt claim is indistinguishable from an
-// expired one with no attempt history, i.e. immediately stealable, never a
-// parse failure that takes down Progress or the drain.
+// — an empty or truncated file, trailing garbage — is reported as (zero
+// lease, valid=false, absent=false, nil error): to every caller a corrupt
+// claim is indistinguishable from an expired one with no attempt history,
+// i.e. immediately stealable, never a parse failure that takes down
+// Progress or the drain.
 func readLease(path string) (held lease, valid, absent bool, err error) {
 	cur, rerr := os.ReadFile(path)
 	if rerr != nil {
@@ -197,10 +203,47 @@ func readLease(path string) (held lease, valid, absent bool, err error) {
 		}
 		return lease{}, false, false, rerr
 	}
-	if jerr := json.Unmarshal(cur, &held); jerr != nil {
+	held, perr := parseLease(cur)
+	if perr != nil {
 		return lease{}, false, false, nil // torn or corrupt: expired-and-stealable
 	}
 	return held, true, false, nil
+}
+
+// parseLease decodes a lease file's bytes.
+func parseLease(data []byte) (lease, error) {
+	var l lease
+	err := json.Unmarshal(data, &l)
+	return l, err
+}
+
+// createLease publishes data at path only if no lease is there. The claim
+// is written whole to a temp file of its own in the same directory and then
+// hard-linked into place: the link fails with EEXIST while another claim is
+// held, and the lease path never exists without its complete contents, so
+// a reader can never mistake a claim being written for a torn one and steal
+// it. The temp name comes from os.CreateTemp, unique across processes and
+// across workers sharing one.
+func createLease(path string, data []byte) (bool, error) {
+	f, err := os.CreateTemp(filepath.Dir(path), ".claim-*")
+	if err != nil {
+		return false, err
+	}
+	defer os.Remove(f.Name())
+	_, werr := f.Write(data)
+	if cerr := f.Close(); werr == nil {
+		werr = cerr
+	}
+	if werr != nil {
+		return false, werr
+	}
+	if err := os.Link(f.Name(), path); err != nil {
+		if os.IsExist(err) {
+			return false, nil
+		}
+		return false, err
+	}
+	return true, nil
 }
 
 // leaseClaim is the result of one acquisition attempt.
@@ -226,19 +269,12 @@ func acquireLease(dir, hash, key, worker string, ttl time.Duration, maxAttempts 
 	if err != nil {
 		return leaseClaim{}, err
 	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
-	if err == nil {
-		_, werr := f.Write(append(data, '\n'))
-		if cerr := f.Close(); werr == nil {
-			werr = cerr
-		}
-		if werr != nil {
-			return leaseClaim{}, werr
-		}
-		return leaseClaim{ok: true, attempts: 1}, nil
-	}
-	if !os.IsExist(err) {
+	created, err := createLease(path, append(data, '\n'))
+	if err != nil {
 		return leaseClaim{}, err
+	}
+	if created {
+		return leaseClaim{ok: true, attempts: 1}, nil
 	}
 	held, valid, absent, rerr := readLease(path)
 	if rerr != nil || absent {

@@ -428,18 +428,24 @@ func TestLeaseAttemptBudgetPoisons(t *testing.T) {
 	}
 }
 
+// corruptLeases are lease files no live claim leaves behind; each must read
+// as stealable. FuzzParseLease starts from them too.
+func corruptLeases() map[string][]byte {
+	old, _ := json.Marshal(lease{Worker: "ancient", Key: "k", Expires: 12, Attempts: 1})
+	return map[string][]byte{
+		"empty file":     {},
+		"truncated JSON": []byte(`{"worker":"w0","key":"k","expi`),
+		"binary garbage": {0xde, 0xad, 0xbe, 0xef, '\n'},
+		"ancient valid":  append(old, '\n'),
+	}
+}
+
 func TestCorruptLeaseIsStealable(t *testing.T) {
 	dir := t.TempDir()
 	if err := ensureLayout(dir); err != nil {
 		t.Fatal(err)
 	}
-	old, _ := json.Marshal(lease{Worker: "ancient", Key: "k", Expires: 12, Attempts: 1})
-	for name, contents := range map[string][]byte{
-		"empty file":     {},
-		"truncated JSON": []byte(`{"worker":"w0","key":"k","expi`),
-		"binary garbage": {0xde, 0xad, 0xbe, 0xef, '\n'},
-		"ancient valid":  append(old, '\n'),
-	} {
+	for name, contents := range corruptLeases() {
 		t.Run(name, func(t *testing.T) {
 			hash := campaign.Hash("corrupt-lease", name)
 			if err := os.WriteFile(leasePath(dir, hash), contents, 0o644); err != nil {
@@ -467,5 +473,60 @@ func TestCorruptLeaseIsStealable(t *testing.T) {
 				t.Errorf("%s: attempts = %d, want %d", name, c.attempts, want)
 			}
 		})
+	}
+}
+
+// TestFreshLeaseContentionExactlyOneClaim races several in-process workers
+// for one fresh point, round after round: exactly one may come away with a
+// claim. A lease whose file is visible before its contents are written reads
+// as torn, hence stealable, and hands the live point to a second worker.
+func TestFreshLeaseContentionExactlyOneClaim(t *testing.T) {
+	dir := t.TempDir()
+	if err := ensureLayout(dir); err != nil {
+		t.Fatal(err)
+	}
+	const rounds, workers = 300, 8
+	doubled := 0
+	for round := 0; round < rounds; round++ {
+		hash := campaign.Hash("fresh-lease-contention", round)
+		var (
+			start  sync.WaitGroup
+			done   sync.WaitGroup
+			claims atomic.Int64
+		)
+		start.Add(1)
+		for w := 0; w < workers; w++ {
+			done.Add(1)
+			go func(w int) {
+				defer done.Done()
+				start.Wait()
+				c, err := acquireLease(dir, hash, "k", fmt.Sprintf("w%d", w), time.Minute, 3)
+				if err != nil {
+					t.Error(err)
+				}
+				if c.ok {
+					claims.Add(1)
+				}
+			}(w)
+		}
+		start.Done()
+		done.Wait()
+		switch n := claims.Load(); {
+		case n == 0:
+			t.Fatalf("round %d: no worker claimed the fresh point", round)
+		case n > 1:
+			doubled++
+		}
+	}
+	if doubled > 0 {
+		t.Errorf("%d of %d rounds handed one fresh point to more than one worker", doubled, rounds)
+	}
+	// No claim leaves its temp file behind.
+	entries, err := os.ReadDir(filepath.Join(dir, leasesDir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != rounds {
+		t.Errorf("leases dir holds %d files, want %d leases", len(entries), rounds)
 	}
 }

@@ -1,11 +1,16 @@
 package circuit
 
-import "math"
+import (
+	"math"
 
-// stampCtx carries the MNA system under assembly for one Newton iteration.
+	"deepheal/internal/mathx"
+)
+
+// stampCtx carries the MNA system under assembly. One solve call reuses it
+// across its Newton iterations, zeroing g and rhs before each stamp pass.
 type stampCtx struct {
 	// g is the (n+m)×(n+m) MNA matrix: n node equations + m source branches.
-	g   [][]float64
+	g   *mathx.Dense
 	rhs []float64
 	// x is the current Newton iterate (node voltages then branch currents).
 	x []float64
@@ -34,14 +39,14 @@ func (s *stampCtx) vPrev(i int) float64 {
 // addG accumulates a conductance g between nodes a and b (either may be -1).
 func (s *stampCtx) addG(a, b int, g float64) {
 	if a >= 0 {
-		s.g[a][a] += g
+		s.g.Add(a, a, g)
 	}
 	if b >= 0 {
-		s.g[b][b] += g
+		s.g.Add(b, b, g)
 	}
 	if a >= 0 && b >= 0 {
-		s.g[a][b] -= g
-		s.g[b][a] -= g
+		s.g.Add(a, b, -g)
+		s.g.Add(b, a, -g)
 	}
 }
 
@@ -118,12 +123,12 @@ type vsourceElem struct {
 func (v *vsourceElem) stamp(s *stampCtx) {
 	k := v.branch
 	if v.a >= 0 {
-		s.g[v.a][k] += 1
-		s.g[k][v.a] += 1
+		s.g.Add(v.a, k, 1)
+		s.g.Add(k, v.a, 1)
 	}
 	if v.b >= 0 {
-		s.g[v.b][k] -= 1
-		s.g[k][v.b] -= 1
+		s.g.Add(v.b, k, -1)
+		s.g.Add(k, v.b, -1)
 	}
 	s.rhs[k] += v.volts
 }
@@ -195,15 +200,15 @@ func (s *stampCtx) stampVCCS(a, b, cpos, cneg int, g float64) {
 		return
 	}
 	if a >= 0 && cpos >= 0 {
-		s.g[a][cpos] += g
+		s.g.Add(a, cpos, g)
 	}
 	if a >= 0 && cneg >= 0 {
-		s.g[a][cneg] -= g
+		s.g.Add(a, cneg, -g)
 	}
 	if b >= 0 && cpos >= 0 {
-		s.g[b][cpos] -= g
+		s.g.Add(b, cpos, -g)
 	}
 	if b >= 0 && cneg >= 0 {
-		s.g[b][cneg] += g
+		s.g.Add(b, cneg, g)
 	}
 }

@@ -52,31 +52,21 @@ func (c *Circuit) solve(x0 []float64, dt float64, prev []float64) ([]float64, er
 		}
 	}
 
-	ctx := &stampCtx{dt: dt, prev: prev}
+	// One matrix and one rhs per solve call: each Newton iteration zeroes
+	// them, stamps into them and hands them to SolveLU, which factors the
+	// matrix in place and returns the solution in the rhs.
+	ctx := &stampCtx{g: mathx.NewDense(dim, dim), rhs: make([]float64, dim), x: x, dt: dt, prev: prev}
 	for iter := 0; iter < maxNewtonIter; iter++ {
 		// Assemble.
-		a := mathx.NewDense(dim, dim)
-		g := make([][]float64, dim)
-		for i := range g {
-			g[i] = make([]float64, dim)
-		}
-		ctx.g = g
-		ctx.rhs = make([]float64, dim)
-		ctx.x = x
+		ctx.g.Zero()
+		clear(ctx.rhs)
 		for i := 0; i < len(c.nodeList); i++ {
-			g[i][i] += gmin
+			ctx.g.Add(i, i, gmin)
 		}
 		for _, e := range c.elems {
 			e.stamp(ctx)
 		}
-		for i := 0; i < dim; i++ {
-			for j := 0; j < dim; j++ {
-				a.Set(i, j, g[i][j])
-			}
-		}
-		rhs := make([]float64, dim)
-		copy(rhs, ctx.rhs)
-		sol, err := mathx.SolveLU(a, rhs)
+		sol, err := mathx.SolveLU(ctx.g, ctx.rhs)
 		if err != nil {
 			return nil, fmt.Errorf("circuit: %w", err)
 		}

@@ -25,7 +25,7 @@ var (
 )
 
 // EnableMetrics wires the whole simulation stack into r: the simulator's
-// own step/checkpoint series plus the bti kernel cache, the CG solvers, the
+// own step/checkpoint series plus the bti kernel cache, the sparse solvers, the
 // thermal operators, the engine pipeline/pool and the sensors. One call
 // from a CLI or test instruments everything a running simulation touches.
 // Pass nil to disable again. Call before simulators are built or stepped —

@@ -44,8 +44,7 @@ const (
 	// SitePointCancel runs a campaign point under an already-cancelled
 	// context, simulating cancellation arriving mid-point.
 	SitePointCancel Site = "point-cancel"
-	// SiteCGDiverge forces a conjugate-gradient solve to report
-	// non-convergence.
+	// SiteCGDiverge forces a linear solve (CG or Cholesky) to fail.
 	SiteCGDiverge Site = "cg-diverge"
 	// SiteEMTridiag forces the EM wire's tridiagonal solve to fail.
 	SiteEMTridiag Site = "em-tridiag"

@@ -24,17 +24,21 @@ func BenchmarkSolveTridiag(b *testing.B) {
 	}
 }
 
-// BenchmarkSolveCG measures the preconditioned CG solve backing the PDN and
-// thermal grids (64-node Laplacian).
+// BenchmarkSolveCG measures a held preconditioned CG solver, the PDN's
+// solve path, on a 64-node Laplacian.
 func BenchmarkSolveCG(b *testing.B) {
 	m := laplacian1D(64)
+	cg, err := NewCGSolver(m)
+	if err != nil {
+		b.Fatal(err)
+	}
 	rhs := make([]float64, 64)
 	for i := range rhs {
 		rhs[i] = 1
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := m.SolveCG(rhs, nil, CGOptions{}); err != nil {
+		if _, _, err := cg.Solve(rhs, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -83,7 +87,7 @@ func BenchmarkPersistentCG64(b *testing.B) {
 	rhs := thermal64RHS()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := cg.Solve(rhs, nil, CGOptions{}); err != nil {
+		if _, _, err := cg.Solve(rhs, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -10,6 +10,10 @@ import (
 // cgMaxIterPerDim bounds a CG solve at this many iterations per unknown.
 const cgMaxIterPerDim = 10
 
+// cgTol is the relative residual a CG solve iterates down to; a solve that
+// ends above its square root has not converged.
+const cgTol = 1e-12
+
 // CGSolver holds the Jacobi preconditioner and iteration scratch for
 // repeated conjugate-gradient solves against one immutable CSR matrix.
 // Building the solver inverts the diagonal once; each Solve then allocates
@@ -50,31 +54,21 @@ func NewCGSolver(m *CSR) (*CGSolver, error) {
 	return s, nil
 }
 
-// Solve solves M·x = b with Jacobi-preconditioned conjugate gradients.
-// x0 may be nil for a zero start. It returns the solution (an internal
-// buffer, valid until the next Solve) and the achieved relative residual.
-func (s *CGSolver) Solve(b, x0 []float64, opt CGOptions) ([]float64, float64, error) {
+// Solve solves M·x = b with Jacobi-preconditioned conjugate gradients to a
+// relative residual of cgTol. x0 may be nil for a zero start. It returns the
+// solution (an internal buffer, valid until the next Solve) and the achieved
+// relative residual.
+func (s *CGSolver) Solve(b, x0 []float64) ([]float64, float64, error) {
 	if err := faultinject.ErrorAt(faultinject.SiteCGDiverge, ""); err != nil {
 		metCGSolves.Inc()
 		metCGFailures.Inc()
 		return nil, math.Inf(1), fmt.Errorf("mathx: CG did not converge: %w", err)
 	}
-	return s.solve(b, x0, opt)
-}
-
-// solve is Solve without the fault-injection probe, for composite solvers
-// (SPDSolver) that own the probe themselves — exactly one probe must fire
-// per logical solve, however many methods it cascades through.
-func (s *CGSolver) solve(b, x0 []float64, opt CGOptions) ([]float64, float64, error) {
 	n := s.m.n
 	if len(b) != n {
-		return nil, 0, fmt.Errorf("mathx: SolveCG rhs length %d, want %d", len(b), n)
+		return nil, 0, fmt.Errorf("mathx: CG rhs length %d, want %d", len(b), n)
 	}
 	maxIter := cgMaxIterPerDim * n
-	tol := opt.Tol
-	if tol <= 0 {
-		tol = 1e-10
-	}
 	x := s.x
 	if x0 != nil {
 		copy(x, x0)
@@ -99,7 +93,7 @@ func (s *CGSolver) solve(b, x0 []float64, opt CGOptions) ([]float64, float64, er
 	rz := Dot(r, z)
 	res := Norm2(r) / normB
 	iters := 0
-	for ; iters < maxIter && res > tol; iters++ {
+	for ; iters < maxIter && res > cgTol; iters++ {
 		s.m.MulVec(p, ap)
 		den := Dot(p, ap)
 		if den == 0 {
@@ -123,7 +117,7 @@ func (s *CGSolver) solve(b, x0 []float64, opt CGOptions) ([]float64, float64, er
 	}
 	metCGSolves.Inc()
 	metCGIters.Add(uint64(iters))
-	if math.IsNaN(res) || res > math.Sqrt(tol) {
+	if math.IsNaN(res) || res > math.Sqrt(cgTol) {
 		metCGFailures.Inc()
 		return x, res, fmt.Errorf("mathx: CG did not converge (residual %.3g)", res)
 	}

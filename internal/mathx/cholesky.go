@@ -4,27 +4,28 @@ import (
 	"errors"
 	"fmt"
 	"math"
+
+	"deepheal/internal/faultinject"
 )
 
 // ErrNotSPD is returned when a matrix handed to the Cholesky factorization
 // is not symmetric positive definite (asymmetric entries, a non-positive
-// pivot) or its envelope exceeds the factor budget. Callers holding such a
-// matrix fall back to an iterative solve.
+// pivot).
 var ErrNotSPD = errors.New("mathx: matrix is not symmetric positive definite")
 
-// maxCholeskyFloats bounds the factor's resident envelope. A 2D grid
-// operator in natural ordering has envelope ≈ n·(bandwidth+1); the budget
-// admits grids up to roughly 256×256 tiles (≈17M float64, 134 MB) before the
-// factorization refuses and the caller stays on CG.
-const maxCholeskyFloats = 1 << 24
+// cholMaxResidual bounds a direct solve's verified relative residual
+// ‖b − A·x‖/‖b‖. Backward-stable triangular sweeps stay far below it; a miss
+// means the operator is too ill-conditioned for the factor to be trusted.
+const cholMaxResidual = 1e-5
 
 // CholeskySolver is a sparse Cholesky factorization A = L·Lᵀ of a symmetric
 // positive-definite CSR matrix, stored in envelope (profile) form: row i of
 // L keeps the dense run of columns [first[i], i]. The envelope of L equals
 // the envelope of A — profile factorization creates no fill outside it — so
 // banded operators (finite-difference grids in natural ordering) stay
-// compact. Factor once, then each Solve is two triangular sweeps: O(env)
-// flops with no iteration, no convergence criterion and no allocation.
+// compact. Factor once, then each Solve is two triangular sweeps, O(env)
+// flops with no iteration, plus one product with A that verifies the
+// residual. A solve allocates nothing.
 //
 // The solver is immutable after construction except for the solve scratch,
 // so it is not safe for concurrent Solve calls; the returned solution slice
@@ -34,13 +35,13 @@ type CholeskySolver struct {
 	first  []int     // first[i]: leftmost stored column of row i
 	rowPtr []int     // vals[rowPtr[i]:rowPtr[i+1]] holds row i, diagonal last
 	vals   []float64 // L entries, row-major inside the envelope
+	m      *CSR      // the factored matrix, for the residual check
 
-	y, x []float64 // solve scratch
+	y, x, res []float64 // solve scratch
 }
 
-// NewCholesky factors m. It returns ErrNotSPD when m is asymmetric, has a
-// non-positive pivot (not positive definite), or its envelope exceeds the
-// factor budget — the caller should then solve iteratively instead.
+// NewCholesky factors m. It returns ErrNotSPD when m is asymmetric or has a
+// non-positive pivot (not positive definite).
 func NewCholesky(m *CSR) (*CholeskySolver, error) {
 	n := m.n
 	if n == 0 {
@@ -54,8 +55,10 @@ func NewCholesky(m *CSR) (*CholeskySolver, error) {
 		n:      n,
 		first:  make([]int, n),
 		rowPtr: make([]int, n+1),
+		m:      m,
 		y:      make([]float64, n),
 		x:      make([]float64, n),
+		res:    make([]float64, n),
 	}
 	// Envelope: row i spans from its leftmost structural entry to the
 	// diagonal. Entries above the diagonal are mirrored by symmetry, so the
@@ -71,10 +74,6 @@ func NewCholesky(m *CSR) (*CholeskySolver, error) {
 		s.first[i] = fst
 		env += i - fst + 1
 		s.rowPtr[i+1] = env
-	}
-	if env > maxCholeskyFloats {
-		metCholRejects.Inc()
-		return nil, fmt.Errorf("%w: envelope %d floats exceeds factor budget %d", ErrNotSPD, env, maxCholeskyFloats)
 	}
 	s.vals = make([]float64, env)
 
@@ -119,16 +118,21 @@ func NewCholesky(m *CSR) (*CholeskySolver, error) {
 	return s, nil
 }
 
-// N reports the system dimension.
-func (s *CholeskySolver) N() int { return s.n }
-
-// Solve solves A·x = b by forward/backward substitution through the factor.
-// The returned slice is internal scratch, valid until the next Solve.
+// Solve solves A·x = b by forward/backward substitution through the factor,
+// then verifies the relative residual ‖b − A·x‖/‖b‖: a NaN or a miss of
+// cholMaxResidual is an error, never a silently wrong answer. Exactly one
+// SiteCGDiverge probe fires per call; an injected divergence fails the solve
+// outright. The returned slice is internal scratch, valid until the next
+// Solve.
 func (s *CholeskySolver) Solve(b []float64) ([]float64, error) {
 	if len(b) != s.n {
 		return nil, fmt.Errorf("mathx: Cholesky rhs length %d, want %d", len(b), s.n)
 	}
 	metCholSolves.Inc()
+	if err := faultinject.ErrorAt(faultinject.SiteCGDiverge, ""); err != nil {
+		metCholFailures.Inc()
+		return nil, fmt.Errorf("mathx: direct solve failed: %w", err)
+	}
 	y, x := s.y, s.x
 	// L·y = b
 	for i := 0; i < s.n; i++ {
@@ -150,7 +154,25 @@ func (s *CholeskySolver) Solve(b []float64) ([]float64, error) {
 			x[k] -= s.vals[base+k] * xi
 		}
 	}
+	if res := s.residual(b); math.IsNaN(res) || res > cholMaxResidual {
+		metCholFailures.Inc()
+		return nil, fmt.Errorf("mathx: direct solve residual %.3g exceeds %g", res, cholMaxResidual)
+	}
 	return x, nil
+}
+
+// residual returns ‖b − A·x‖/‖b‖ for the current solution x (0 for a zero
+// rhs).
+func (s *CholeskySolver) residual(b []float64) float64 {
+	normB := Norm2(b)
+	if normB == 0 {
+		return 0
+	}
+	s.m.MulVec(s.x, s.res)
+	for i := range s.res {
+		s.res[i] = b[i] - s.res[i]
+	}
+	return Norm2(s.res) / normB
 }
 
 // symmetric reports whether every stored entry has a matching transpose

@@ -1,7 +1,8 @@
 // Package mathx implements the numerical substrate used by the wearout
 // simulators: dense and tridiagonal linear solvers, a sparse Cholesky
-// factorization with a conjugate-gradient fallback for sparse symmetric
-// systems, scalar root finding, interpolation and descriptive statistics.
+// factorization (the thermal grid) and a Jacobi-preconditioned
+// conjugate-gradient solver (the power grid) for sparse symmetric systems,
+// scalar root finding, interpolation and descriptive statistics.
 //
 // Everything here is deterministic and allocation-conscious; the solvers are
 // small but complete enough to back a SPICE-like circuit engine, a power

@@ -2,20 +2,20 @@ package mathx
 
 import "deepheal/internal/obs"
 
-// Package-level instruments for the conjugate-gradient solver. Nil (free
-// no-ops) until EnableMetrics installs live ones; CGSolver.Solve calls them
-// unconditionally. Every CG consumer in the repo — the thermal operators,
-// the PDN solve, ad-hoc CSR.SolveCG calls — funnels through CGSolver, so
-// these series cover all of them.
+// Package-level instruments for the two sparse solvers. Nil (free no-ops)
+// until EnableMetrics installs live ones; CGSolver.Solve and
+// CholeskySolver.Solve call them unconditionally. The PDN solves through
+// CGSolver and the thermal grid through CholeskySolver, so these series
+// cover every sparse solve in the repo.
 var (
 	metCGSolves   *obs.Counter
 	metCGIters    *obs.Counter
 	metCGFailures *obs.Counter
 
-	metCholFactors   *obs.Counter
-	metCholRejects   *obs.Counter
-	metCholSolves    *obs.Counter
-	metCholFallbacks *obs.Counter
+	metCholFactors  *obs.Counter
+	metCholRejects  *obs.Counter
+	metCholSolves   *obs.Counter
+	metCholFailures *obs.Counter
 )
 
 // EnableMetrics registers the package's instruments in r. Pass nil to
@@ -23,7 +23,7 @@ var (
 // synchronised with concurrent solves.
 func EnableMetrics(r *obs.Registry) {
 	metCGSolves = r.Counter("deepheal_cg_solves_total",
-		"conjugate-gradient solves completed (all CSR consumers)")
+		"conjugate-gradient solves completed")
 	metCGIters = r.Counter("deepheal_cg_iterations_total",
 		"conjugate-gradient iterations across all solves")
 	metCGFailures = r.Counter("deepheal_cg_convergence_failures_total",
@@ -31,9 +31,9 @@ func EnableMetrics(r *obs.Registry) {
 	metCholFactors = r.Counter("deepheal_cholesky_factorizations_total",
 		"sparse Cholesky factorizations completed")
 	metCholRejects = r.Counter("deepheal_cholesky_rejections_total",
-		"factorization attempts rejected (asymmetric, indefinite or over budget)")
+		"factorization attempts rejected (asymmetric or indefinite)")
 	metCholSolves = r.Counter("deepheal_cholesky_solves_total",
 		"triangular solves through a Cholesky factor")
-	metCholFallbacks = r.Counter("deepheal_cholesky_fallbacks_total",
-		"direct solves that failed (injected divergence) or fell back to CG (residual miss)")
+	metCholFailures = r.Counter("deepheal_cholesky_failures_total",
+		"direct solves that failed (injected divergence or residual miss)")
 }

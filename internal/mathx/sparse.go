@@ -80,30 +80,6 @@ func (m *CSR) MulVec(x, y []float64) {
 	}
 }
 
-// CGOptions configures the conjugate gradient solver.
-type CGOptions struct {
-	// Tol is the relative residual target; 0 means 1e-10.
-	Tol float64
-}
-
-// SolveCG solves M·x = b for a symmetric positive-definite M using Jacobi-
-// preconditioned conjugate gradients. x0 may be nil for a zero start.
-// It returns the solution and the achieved relative residual.
-//
-// Each call builds a throwaway CGSolver; callers solving repeatedly against
-// the same matrix should hold a CGSolver to reuse the preconditioner and
-// iteration scratch.
-func (m *CSR) SolveCG(b, x0 []float64, opt CGOptions) ([]float64, float64, error) {
-	if len(b) != m.n {
-		return nil, 0, fmt.Errorf("mathx: SolveCG rhs length %d, want %d", len(b), m.n)
-	}
-	s, err := NewCGSolver(m)
-	if err != nil {
-		return nil, 0, err
-	}
-	return s.Solve(b, x0, opt)
-}
-
 // Dot returns the inner product of two equal-length vectors.
 func Dot(a, b []float64) float64 {
 	var s float64

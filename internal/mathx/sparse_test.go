@@ -34,6 +34,27 @@ func TestCSRDuplicatesSummed(t *testing.T) {
 	}
 }
 
+// solveCG solves m·x = b through a CGSolver held by the caller's test, the
+// way the PDN holds one per grid.
+func solveCG(t *testing.T, s *CGSolver, b, x0 []float64) ([]float64, float64) {
+	t.Helper()
+	x, res, err := s.Solve(b, x0)
+	if err != nil {
+		t.Fatalf("CG failed (res %g): %v", res, err)
+	}
+	return x, res
+}
+
+// mustCG builds a held CGSolver for m.
+func mustCG(t *testing.T, m *CSR) *CGSolver {
+	t.Helper()
+	s, err := NewCGSolver(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 func TestSolveCGLaplacian(t *testing.T) {
 	n := 64
 	m := laplacian1D(n)
@@ -44,10 +65,7 @@ func TestSolveCGLaplacian(t *testing.T) {
 	}
 	b := make([]float64, n)
 	m.MulVec(want, b)
-	got, res, err := m.SolveCG(b, nil, CGOptions{})
-	if err != nil {
-		t.Fatalf("CG failed (res %g): %v", res, err)
-	}
+	got, _ := solveCG(t, mustCG(t, m), b, nil)
 	for i := range got {
 		if !AlmostEqual(got[i], want[i], 1e-6) {
 			t.Fatalf("x[%d] = %g, want %g", i, got[i], want[i])
@@ -57,10 +75,7 @@ func TestSolveCGLaplacian(t *testing.T) {
 
 func TestSolveCGZeroRHS(t *testing.T) {
 	m := laplacian1D(8)
-	x, res, err := m.SolveCG(make([]float64, 8), nil, CGOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	x, res := solveCG(t, mustCG(t, m), make([]float64, 8), nil)
 	if res != 0 {
 		t.Errorf("residual = %g, want 0", res)
 	}
@@ -78,14 +93,12 @@ func TestSolveCGWarmStart(t *testing.T) {
 	for i := range b {
 		b[i] = 1
 	}
-	cold, _, err := m.SolveCG(b, nil, CGOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	warm, _, err := m.SolveCG(b, cold, CGOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	// The held solver returns its own scratch, so the cold answer is copied
+	// out before it seeds the warm solve on the same solver.
+	s := mustCG(t, m)
+	x, _ := solveCG(t, s, b, nil)
+	cold := append([]float64(nil), x...)
+	warm, _ := solveCG(t, s, b, cold)
 	for i := range warm {
 		if !AlmostEqual(warm[i], cold[i], 1e-6) {
 			t.Fatalf("warm start diverged at %d: %g vs %g", i, warm[i], cold[i])
@@ -112,10 +125,7 @@ func TestSolveCGRandomSPD(t *testing.T) {
 		for i := range b {
 			b[i] = rng.Uniform(-3, 3)
 		}
-		x, _, err := m.SolveCG(b, nil, CGOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
+		x, _ := solveCG(t, mustCG(t, m), b, nil)
 		ax := make([]float64, n)
 		m.MulVec(x, ax)
 		for i := range ax {
@@ -128,7 +138,7 @@ func TestSolveCGRandomSPD(t *testing.T) {
 
 func TestSolveCGSingularDiagonal(t *testing.T) {
 	m := NewCSR(2, []Coord{{Row: 0, Col: 0, Val: 1}})
-	if _, _, err := m.SolveCG([]float64{1, 1}, nil, CGOptions{}); err == nil {
+	if _, err := NewCGSolver(m); err == nil {
 		t.Fatal("expected error for zero diagonal")
 	}
 }

@@ -1,10 +1,12 @@
 // Package pdn models an on-chip power-delivery network: a rows×cols mesh of
 // metal segments fed from C4-bump pads, with block load currents drawn at
-// the mesh nodes. It solves the IR-drop problem with conjugate gradients
-// and exposes per-segment current densities — the stress input for the
-// electromigration models. Under the assist circuitry's EM Active Recovery
-// mode all segment currents reverse at unchanged magnitude (the paper's
-// Fig. 8/9), which callers express by negating the load map's sign.
+// the mesh nodes. It solves the IR-drop problem with one held
+// Jacobi-preconditioned conjugate-gradient solver per grid, warm-started
+// from the previous solution, and exposes per-segment current densities —
+// the stress input for the electromigration models. Under the assist
+// circuitry's EM Active Recovery mode all segment currents reverse at
+// unchanged magnitude (the paper's Fig. 8/9), which callers express by
+// negating the load map's sign.
 package pdn
 
 import (
@@ -85,13 +87,14 @@ type Grid struct {
 	cfg    Config
 	edges  []Edge
 	isPad  []bool
-	unkIdx []int // node -> unknown index, -1 for pads
-	unk    []int // unknown index -> node
-	mat    *mathx.CSR
-	warm   []float64
+	unkIdx []int           // node -> unknown index, -1 for pads
+	unk    []int           // unknown index -> node
+	cg     *mathx.CGSolver // over the reduced Laplacian; not safe for concurrent Solve
+	warm   []float64       // the previous solution, the next solve's start
 }
 
-// New builds the grid and factorises its structure.
+// New builds the grid, assembles the reduced Laplacian over its non-pad
+// nodes and prepares the CG solver that every Solve reuses.
 func New(cfg Config) (*Grid, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -145,7 +148,11 @@ func New(cfg Config) (*Grid, error) {
 	for i, d := range diag {
 		entries = append(entries, mathx.Coord{Row: i, Col: i, Val: d})
 	}
-	g.mat = mathx.NewCSR(len(g.unk), entries)
+	cg, err := mathx.NewCGSolver(mathx.NewCSR(len(g.unk), entries))
+	if err != nil {
+		return nil, fmt.Errorf("pdn: %w", err)
+	}
+	g.cg = cg
 	g.warm = make([]float64, len(g.unk))
 	for i := range g.warm {
 		g.warm[i] = cfg.VDD
@@ -203,7 +210,7 @@ func (g *Grid) Solve(load []float64) (*Solution, error) {
 			rhs[ub] += gSeg * g.cfg.VDD
 		}
 	}
-	x, _, err := g.mat.SolveCG(rhs, g.warm, mathx.CGOptions{Tol: 1e-12})
+	x, _, err := g.cg.Solve(rhs, g.warm)
 	if err != nil {
 		return nil, fmt.Errorf("pdn: %w", err)
 	}

@@ -47,15 +47,11 @@ func (r *referenceGrid) steadyState(power []float64) error {
 	n := g.rows * g.cols
 	rhs := make([]float64, n)
 	copy(rhs, power)
-	x0 := make([]float64, n)
-	for i := range x0 {
-		x0[i] = g.temps[i] - g.cfg.Ambient.K()
-	}
-	sol, err := mathx.NewSPDSolver(r.conductance())
+	sol, err := mathx.NewCholesky(r.conductance())
 	if err != nil {
 		return err
 	}
-	rise, _, err := sol.Solve(rhs, x0, mathx.CGOptions{})
+	rise, err := sol.Solve(rhs)
 	if err != nil {
 		return err
 	}

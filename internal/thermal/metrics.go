@@ -3,8 +3,8 @@ package thermal
 import "deepheal/internal/obs"
 
 // Package-level instruments for the cached thermal operators. Nil (free
-// no-ops) until EnableMetrics installs live ones. CG iteration counts for
-// the solves themselves live in internal/mathx.
+// no-ops) until EnableMetrics installs live ones. The factorization and
+// solve counts themselves live in internal/mathx.
 var (
 	metOperatorBuilds *obs.Counter
 	metSettles        *obs.Counter
@@ -15,7 +15,7 @@ var (
 // synchronised with concurrent solves.
 func EnableMetrics(r *obs.Registry) {
 	metOperatorBuilds = r.Counter("deepheal_thermal_operator_builds_total",
-		"thermal operator (CSR + preconditioner) assemblies; cached operators make these rare")
+		"thermal operator (CSR + Cholesky factor) assemblies; cached operators make these rare")
 	metSettles = r.Counter("deepheal_thermal_settles_total",
 		"steady-state thermal solves")
 }

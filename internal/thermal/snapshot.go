@@ -7,10 +7,11 @@ import (
 	"deepheal/internal/units"
 )
 
-// The die temperature field is state that must survive a checkpoint (it
-// warm-starts the next solve and feeds the policies' heat-aware
-// observations). The snapshot is a fixed frame: magic, the dimensions and
-// the config (a compatibility check), then the temperatures.
+// The die temperature field is carried through a checkpoint. The direct
+// solve reads no history, so the next Settle overwrites it; the frame keeps
+// it because the checkpoint format does. The snapshot is a fixed frame:
+// magic, the dimensions and the config (a compatibility check), then the
+// temperatures.
 
 const snapshotMagic = 'H'
 

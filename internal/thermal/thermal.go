@@ -1,7 +1,8 @@
 // Package thermal provides a tile-grid thermal model of a die: every
 // floorplan tile exchanges heat laterally with its neighbours and vertically
 // with the ambient through the package. It solves for the steady-state
-// field of a power map, and is the substrate behind the paper's
+// field of a power map through a sparse Cholesky factor of the conductance
+// matrix, built once per grid, and is the substrate behind the paper's
 // observation that heat from neighbouring active blocks can be recycled to
 // accelerate the recovery of idle blocks (Fig. 12a).
 package thermal
@@ -53,21 +54,17 @@ func (c Config) Validate() error {
 
 // Grid is a rows×cols tile thermal network.
 //
-// The conductance matrix G depends only on cfg, so it is assembled once at
-// construction and kept in a mathx.SPDSolver, which factors it once (sparse
-// envelope Cholesky) and answers every subsequent solve with two triangular
-// sweeps — no iteration — falling back to Jacobi-CG only when the operator
-// refuses to factor. The per-solve rhs/rise buffers are preallocated, so a
-// warm solve allocates nothing.
+// The conductance matrix G depends only on cfg, so it is assembled and
+// factored (sparse envelope Cholesky) once at construction; every solve is
+// then two triangular sweeps and a residual check into the factor's own
+// scratch, with no iteration and no allocation.
 type Grid struct {
 	rows, cols int
 	cfg        Config
 	ambientK   float64   // cfg.Ambient.K(), hoisted out of the hot loops
 	temps      []float64 // kelvin
 
-	steady *mathx.SPDSolver // factored solver for the conductance G
-
-	rhs, rise []float64 // per-solve scratch
+	steady *mathx.CholeskySolver // factor of the conductance G
 }
 
 // NewGrid builds a grid at ambient temperature.
@@ -83,13 +80,11 @@ func NewGrid(rows, cols int, cfg Config) (*Grid, error) {
 		rows: rows, cols: cols, cfg: cfg,
 		ambientK: cfg.Ambient.K(),
 		temps:    make([]float64, n),
-		rhs:      make([]float64, n),
-		rise:     make([]float64, n),
 	}
 	for i := range g.temps {
 		g.temps[i] = g.ambientK
 	}
-	steady, err := mathx.NewSPDSolver(g.operator())
+	steady, err := mathx.NewCholesky(g.operator())
 	if err != nil {
 		return nil, fmt.Errorf("thermal: %w", err)
 	}
@@ -186,14 +181,8 @@ func (g *Grid) Settle(power []float64) error {
 		return fmt.Errorf("thermal: power map has %d tiles, want %d", len(power), n)
 	}
 	// G·(T - Tamb·1) = P with the vertical path referenced to ambient:
-	// solve for the rise above ambient, warm-started from the current field.
-	rhs := g.rhs
-	copy(rhs, power)
-	x0 := g.rise
-	for i := range x0 {
-		x0[i] = g.temps[i] - g.ambientK
-	}
-	rise, _, err := g.steady.Solve(rhs, x0, mathx.CGOptions{})
+	// solve for the rise above ambient.
+	rise, err := g.steady.Solve(power)
 	if err != nil {
 		return fmt.Errorf("thermal: steady state: %w", err)
 	}
