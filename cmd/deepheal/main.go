@@ -52,7 +52,6 @@ import (
 	"deepheal/internal/campaign/dist"
 	"deepheal/internal/core"
 	"deepheal/internal/experiments"
-	"deepheal/internal/faultinject"
 	"deepheal/internal/obs"
 	"deepheal/internal/obsflag"
 )
@@ -185,19 +184,11 @@ func run(ctx context.Context, args []string) error {
 		return fmt.Errorf("no experiment selected")
 	}
 
-	if *faults != "" {
-		plan, err := faultinject.ParseSpec(*faults)
-		if err != nil {
-			return err
-		}
-		inj, err := faultinject.New(*faultSeed, plan)
-		if err != nil {
-			return err
-		}
-		faultinject.Enable(inj)
-		defer faultinject.Disable()
-		fmt.Fprintf(os.Stderr, "fault injection armed: %s (seed %d)\n", *faults, *faultSeed)
+	disarm, err := armFaults(*faults, *faultSeed)
+	if err != nil {
+		return err
 	}
+	defer disarm()
 
 	var ids []string
 	switch pos[0] {

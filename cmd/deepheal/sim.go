@@ -58,7 +58,7 @@ func runSim(ctx context.Context, args []string) error {
 	defer stopProfiles()
 
 	// Metrics come on before the simulator is built so every kernel build,
-	// CG solve and pipeline stage of this run is counted from step zero.
+	// CG solve and step stage of this run is counted from step zero.
 	var reg *obs.Registry
 	if metrics.Enabled() {
 		reg = obs.NewRegistry()
@@ -85,19 +85,7 @@ func runSim(ctx context.Context, args []string) error {
 		cfg.Steps = *steps
 	}
 
-	opts := []core.Option{core.WithWorkers(*workers)}
-	if *progress {
-		opts = append(opts, core.WithProgress(func(step, total int) {
-			if step%10 == 0 || step == total {
-				fmt.Fprintf(os.Stderr, "\rstep %d/%d", step, total)
-			}
-			if step == total {
-				fmt.Fprintln(os.Stderr)
-			}
-		}))
-	}
-
-	sim, err := core.NewSimulator(cfg, pol, opts...)
+	sim, err := core.NewSimulator(cfg, pol, core.WithWorkers(*workers))
 	if err != nil {
 		return err
 	}
@@ -116,16 +104,27 @@ func runSim(ctx context.Context, args []string) error {
 		}
 	}
 
-	start := time.Now()
+	// Step in chunks that end at every checkpoint save (each -checkpoint-every
+	// steps of this run) and, with -progress, at every tenth step.
+	start, first := time.Now(), sim.Step()
 	for sim.Step() < cfg.Steps {
 		n := cfg.Steps - sim.Step()
-		if *checkpoint != "" && n > *checkpointEvery {
-			n = *checkpointEvery
+		if *checkpoint != "" {
+			n = min(n, *checkpointEvery-(sim.Step()-first)%*checkpointEvery)
+		}
+		if *progress {
+			n = min(n, 10-sim.Step()%10)
 		}
 		if err := sim.RunSteps(ctx, n); err != nil {
 			return err
 		}
-		if *checkpoint != "" && sim.Step() < cfg.Steps {
+		if step := sim.Step(); *progress && (step%10 == 0 || step == cfg.Steps) {
+			fmt.Fprintf(os.Stderr, "\rstep %d/%d", step, cfg.Steps)
+			if step == cfg.Steps {
+				fmt.Fprintln(os.Stderr)
+			}
+		}
+		if *checkpoint != "" && (sim.Step()-first)%*checkpointEvery == 0 && sim.Step() < cfg.Steps {
 			if err := saveCheckpoint(*checkpoint, sim); err != nil {
 				return err
 			}

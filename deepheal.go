@@ -193,7 +193,7 @@ type (
 	StatefulPolicy = core.StatefulPolicy
 	// SimOption tunes how a Simulator executes (workers, hooks).
 	SimOption = core.Option
-	// StageName identifies one stage of the engine pipeline.
+	// StageName identifies one stage of a simulation step.
 	StageName = engine.StageName
 	// WorkloadProfile produces per-step utilisation.
 	WorkloadProfile = workload.Profile
@@ -210,9 +210,9 @@ func SystemConfigForGrid(rows, cols int) SystemConfig { return core.ConfigForGri
 func DefaultDeepHealing() *DeepHealingPolicy { return core.DefaultDeepHealing() }
 
 // NewSimulator builds a system simulator for one policy run. Options bound
-// the wearout-stage worker pool (WithWorkers) and install observability
-// hooks (WithProgress, WithStageTime); results are bit-identical for every
-// worker count.
+// the wearout-stage worker pool (WithWorkers) and install the per-stage
+// timing hook (WithStageTime); results are bit-identical for every worker
+// count.
 func NewSimulator(cfg SystemConfig, p Policy, opts ...SimOption) (*Simulator, error) {
 	return core.NewSimulator(cfg, p, opts...)
 }
@@ -221,10 +221,7 @@ func NewSimulator(cfg SystemConfig, p Policy, opts ...SimOption) (*Simulator, er
 // (0 = GOMAXPROCS, 1 = serial).
 func WithWorkers(n int) SimOption { return core.WithWorkers(n) }
 
-// WithProgress installs a per-step progress callback.
-func WithProgress(fn func(step, total int)) SimOption { return core.WithProgress(fn) }
-
-// WithStageTime installs a per-pipeline-stage wall-time callback.
+// WithStageTime installs a per-stage wall-time callback.
 func WithStageTime(fn func(stage StageName, d time.Duration)) SimOption {
 	return core.WithStageTime(fn)
 }

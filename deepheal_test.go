@@ -94,11 +94,9 @@ func TestSystemFlow(t *testing.T) {
 func TestEngineFacade(t *testing.T) {
 	cfg := deepheal.SystemConfigForGrid(3, 3)
 	cfg.Steps = 40
-	var steps int
 	stageSeen := map[deepheal.StageName]bool{}
 	sim, err := deepheal.NewSimulator(cfg, deepheal.DefaultDeepHealing(),
 		deepheal.WithWorkers(2),
-		deepheal.WithProgress(func(step, total int) { steps = step }),
 		deepheal.WithStageTime(func(stage deepheal.StageName, _ time.Duration) { stageSeen[stage] = true }),
 	)
 	if err != nil {
@@ -122,8 +120,8 @@ func TestEngineFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Series) != 40 || steps != 20 || len(stageSeen) != 6 {
-		t.Errorf("series %d, progress %d, stages %d", len(rep.Series), steps, len(stageSeen))
+	if len(rep.Series) != 40 || sim.Step() != 20 || len(stageSeen) != 6 {
+		t.Errorf("series %d, step %d, stages %d", len(rep.Series), sim.Step(), len(stageSeen))
 	}
 
 	reports, err := deepheal.RunPoliciesContext(context.Background(), cfg, 2,

@@ -28,7 +28,7 @@ func NewDevice(p Params) (*Device, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	return newDeviceOnGrid(p, acquireGrid(p)), nil
+	return newDeviceOnGrid(p, sharedGrid(p)), nil
 }
 
 // newDeviceOnGrid assembles a device over an already-built grid — either a
@@ -71,28 +71,12 @@ func (d *Device) LockedV() float64 { return d.lockedV }
 // Age returns the total simulated time the device has lived, in seconds.
 func (d *Device) Age() float64 { return d.age }
 
-// Clone returns an independent copy sharing the immutable CET grid; the
-// copy holds its own cache reference.
+// Clone returns an independent copy sharing the immutable CET grid.
 func (d *Device) Clone() *Device {
 	c := *d
 	c.occ = make([]float64, len(d.occ))
 	copy(c.occ, d.occ)
-	if d.grid != nil {
-		reacquireGrid(d.params, d.grid)
-	}
 	return &c
-}
-
-// Release drops the device's reference on the shared CET-grid cache so an
-// idle corner's grid can be recycled once every holder is gone. The device
-// must not be used afterwards. Short-lived devices may skip Release — their
-// grids merely stay pinned, which is the pre-refcounting behaviour.
-func (d *Device) Release() {
-	if d.grid == nil {
-		return
-	}
-	releaseGrid(d.params, d.grid)
-	d.grid = nil
 }
 
 // Reset returns the device to the fresh state.
@@ -275,7 +259,6 @@ func (d *Device) RecoveryFraction(cond Condition, dur float64) float64 {
 		return 0
 	}
 	c := d.Clone()
-	defer c.Release()
 	c.Apply(cond, dur)
 	return (before - c.ShiftV()) / before
 }

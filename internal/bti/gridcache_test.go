@@ -1,65 +1,70 @@
 package bti
 
 import (
+	"maps"
 	"math"
 	"testing"
 
 	"deepheal/internal/units"
 )
 
-func TestGridCacheRefcounting(t *testing.T) {
+func TestGridCacheSharesCorner(t *testing.T) {
 	p := DefaultParams().Coarse()
 	p.MaxShiftV = 0.123456 // unique corner so other tests' entries don't interfere
 	before := GridCacheStats()
 
 	d := MustNewDevice(p)
 	c := d.Clone()
-	mid := GridCacheStats()
-	if got := mid.LiveRefs - before.LiveRefs; got != 2 {
-		t.Fatalf("device+clone hold %d refs, want 2", got)
-	}
-	if got := mid.Builds - before.Builds; got != 1 {
+	if got := GridCacheStats().Builds - before.Builds; got != 1 {
 		t.Fatalf("device+clone built %d grids, want 1", got)
 	}
-
 	d2 := MustNewDevice(p)
 	if got := GridCacheStats().Builds - before.Builds; got != 1 {
 		t.Fatalf("second device of same corner built a grid (builds now %d)", got)
 	}
-
-	d.Release()
-	c.Release()
-	d2.Release()
-	d2.Release() // idempotent
-	after := GridCacheStats()
-	if got := after.LiveRefs - before.LiveRefs; got != 0 {
-		t.Errorf("after release %d refs remain", got)
+	if c.grid != d.grid || d2.grid != d.grid {
+		t.Error("devices of one corner do not share its grid")
 	}
 }
 
-func TestReleasedCornerIsEvictable(t *testing.T) {
+// TestGridCacheOverflowGetsPrivateGrid fills the cache to its cap: a new
+// corner then gets a private grid per device and is not admitted, while
+// resident corners keep being shared.
+func TestGridCacheOverflowGetsPrivateGrid(t *testing.T) {
 	base := DefaultParams().Coarse()
 	base.MaxShiftV = 0.0987 // unique family for this test
-	d := MustNewDevice(base)
-	d.Release()
+	resident := MustNewDevice(base)
 
-	// Fill the cache past its cap with live corners; the released one must
-	// eventually give up its slot without disturbing live entries.
-	live := make([]*Device, 0, maxGridCache+4)
-	for i := 0; i < maxGridCache+4; i++ {
+	gridMu.Lock()
+	saved := maps.Clone(gridCache)
+	for i := 0; len(gridCache) < maxGridCache; i++ {
 		p := base
 		p.MaxShiftV = 0.2 + 1e-6*float64(i)
-		live = append(live, MustNewDevice(p))
+		gridCache[p] = resident.grid // placeholders: only the count matters
 	}
-	builds := GridCacheStats().Builds
-	if _, err := NewDevice(base); err != nil {
-		t.Fatal(err)
+	gridMu.Unlock()
+	t.Cleanup(func() {
+		gridMu.Lock()
+		gridCache = saved
+		gridMu.Unlock()
+	})
+
+	before := GridCacheStats()
+	over := base
+	over.MaxShiftV = 0.1987
+	a, b := MustNewDevice(over), MustNewDevice(over)
+	after := GridCacheStats()
+	if got := after.Builds - before.Builds; got != 2 {
+		t.Errorf("two devices of an overflow corner built %d grids, want 2", got)
 	}
-	if got := GridCacheStats().Builds - builds; got != 1 {
-		t.Fatalf("re-registering the released corner built %d grids, want 1 (entry should have been evicted)", got)
+	if a.grid == b.grid {
+		t.Error("overflow devices share a grid")
 	}
-	for _, l := range live {
-		l.Release()
+	if after.Entries != maxGridCache {
+		t.Errorf("cache holds %d entries past its cap of %d", after.Entries, maxGridCache)
+	}
+	if again := MustNewDevice(base); again.grid != resident.grid {
+		t.Error("a resident corner stopped being shared once the cache filled")
 	}
 }
 

@@ -412,87 +412,44 @@ func sweepKernel(k *evolveKernel, weight []float64, devs []*Device) {
 // Shared-grid cache: devices built from equal Params reuse one immutable
 // cetGrid (and with it one kernel cache), so a fleet of chips with a handful
 // of distinct process corners pays for grid discretisation and kernel
-// building once, not per core. Entries are refcounted: every NewDevice /
-// Clone acquires a reference and Device.Release drops it, so a long-running
-// service that registers and retires chips can recycle cache slots —
-// zero-reference entries are evicted under cap pressure, while entries with
-// live holders are pinned. Devices that never Release (short-lived
-// experiment populations) simply keep their entries pinned, which matches
-// the old never-evict behaviour.
+// building once, not per core. Admitted grids live for the process: every
+// path that runs touches a few corners (a fleet's four, the experiments'
+// two), so no device needs to hand its grid back.
 
 // maxGridCache bounds the shared-grid cache. Population studies draw
-// per-device parameter variations, each a distinct key; past the cap (when
-// no idle entry can be evicted) those devices simply build private grids.
+// per-device parameter variations, each a distinct key; past the cap those
+// devices simply build private grids.
 const maxGridCache = 128
-
-// gridEntry is one refcounted shared grid.
-type gridEntry struct {
-	grid *cetGrid
-	refs int
-}
 
 var (
 	gridMu     sync.Mutex
-	gridCache  = map[Params]*gridEntry{}
+	gridCache  = map[Params]*cetGrid{}
 	gridBuilds uint64 // grids discretised since process start, under gridMu
 )
 
-// acquireGrid returns the shared grid for p with one reference held,
-// building it on first use.
-func acquireGrid(p Params) *cetGrid {
+// sharedGrid returns the shared grid for p, building it on first use. A new
+// Params past the cap gets a private grid.
+func sharedGrid(p Params) *cetGrid {
 	gridMu.Lock()
 	defer gridMu.Unlock()
-	if e, ok := gridCache[p]; ok {
-		e.refs++
+	if g, ok := gridCache[p]; ok {
 		metGridHits.Inc()
-		return e.grid
+		return g
 	}
 	g := newCETGrid(p)
 	gridBuilds++
 	metGridBuilds.Inc()
-	if len(gridCache) >= maxGridCache {
-		for key, e := range gridCache {
-			if e.refs == 0 {
-				delete(gridCache, key)
-				metGridEvictions.Inc()
-				break
-			}
-		}
-	}
 	if len(gridCache) < maxGridCache {
-		gridCache[p] = &gridEntry{grid: g, refs: 1}
+		gridCache[p] = g
 		metGridEntries.Set(float64(len(gridCache)))
 	}
 	return g
-}
-
-// reacquireGrid adds a reference for an existing holder (Clone). A grid that
-// was never admitted to the cache (or was built privately) has no entry; the
-// call is then a no-op because private grids need no bookkeeping.
-func reacquireGrid(p Params, g *cetGrid) {
-	gridMu.Lock()
-	defer gridMu.Unlock()
-	if e, ok := gridCache[p]; ok && e.grid == g {
-		e.refs++
-	}
-}
-
-// releaseGrid drops one reference. The grid itself stays valid — release is
-// bookkeeping that lets the cache recycle the slot once nobody holds it.
-func releaseGrid(p Params, g *cetGrid) {
-	gridMu.Lock()
-	defer gridMu.Unlock()
-	if e, ok := gridCache[p]; ok && e.grid == g && e.refs > 0 {
-		e.refs--
-	}
 }
 
 // GridStats describes the shared CET-grid cache at one instant.
 type GridStats struct {
 	// Entries is the number of distinct Params with a resident shared grid.
 	Entries int
-	// LiveRefs is the number of references currently held by devices.
-	LiveRefs int
 	// Builds counts grids discretised since process start; a steady fleet
 	// stepping over a fixed corner set must not advance it.
 	Builds uint64
@@ -503,9 +460,5 @@ type GridStats struct {
 func GridCacheStats() GridStats {
 	gridMu.Lock()
 	defer gridMu.Unlock()
-	s := GridStats{Entries: len(gridCache), Builds: gridBuilds}
-	for _, e := range gridCache {
-		s.LiveRefs += e.refs
-	}
-	return s
+	return GridStats{Entries: len(gridCache), Builds: gridBuilds}
 }

@@ -13,10 +13,9 @@ var (
 	metKernelResident *obs.Gauge
 	metSeparableSweep *obs.Counter
 
-	metGridHits      *obs.Counter
-	metGridBuilds    *obs.Counter
-	metGridEvictions *obs.Counter
-	metGridEntries   *obs.Gauge
+	metGridHits    *obs.Counter
+	metGridBuilds  *obs.Counter
+	metGridEntries *obs.Gauge
 
 	metBatchGroups  *obs.Counter
 	metBatchDevices *obs.Counter
@@ -47,8 +46,6 @@ func EnableMetrics(r *obs.Registry) {
 		"device constructions served by an already-resident shared CET grid")
 	metGridBuilds = r.Counter("deepheal_bti_grid_builds_total",
 		"CET grids discretised (cache misses and private overflow grids)")
-	metGridEvictions = r.Counter("deepheal_bti_grid_evictions_total",
-		"idle shared grids evicted to admit a new corner")
 	metGridEntries = r.Gauge("deepheal_bti_grid_entries",
 		"distinct Params with a resident shared CET grid")
 	metBatchGroups = r.Counter("deepheal_bti_batch_groups_total",

@@ -134,7 +134,6 @@ func TestStoredShiftFollowsState(t *testing.T) {
 	}
 
 	c := d.Clone()
-	defer c.Release()
 	if !same(c.RecoverableV(), d.RecoverableV()) {
 		t.Fatalf("clone shift %v, original %v", c.RecoverableV(), d.RecoverableV())
 	}

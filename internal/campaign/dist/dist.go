@@ -146,15 +146,42 @@ func WaitManifest(ctx context.Context, dir string, poll time.Duration) (*Manifes
 	}
 }
 
+// writeTemp writes data whole to a fresh temp file in dir and returns its
+// name. The name comes from os.CreateTemp, unique across processes and
+// across goroutines of one process, so concurrent writers of one path (two
+// workers stealing the same expired lease) never share a temp file. The
+// dot prefix and the extension keep it out of every directory scan.
+func writeTemp(dir string, data []byte) (string, error) {
+	f, err := os.CreateTemp(dir, ".tmp-*")
+	if err != nil {
+		return "", err
+	}
+	_, werr := f.Write(data)
+	if werr == nil {
+		werr = f.Chmod(0o644)
+	}
+	if cerr := f.Close(); werr == nil {
+		werr = cerr
+	}
+	if werr != nil {
+		os.Remove(f.Name())
+		return "", werr
+	}
+	return f.Name(), nil
+}
+
 // writeAtomic writes data via temp file + rename so readers never observe a
-// partial file. The temp name carries the pid so concurrent writers of the
-// same path (a lease takeover race) cannot collide on the temp file itself.
+// partial file.
 func writeAtomic(path string, data []byte) error {
-	tmp := fmt.Sprintf("%s.%d.tmp", path, os.Getpid())
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+	tmp, err := writeTemp(filepath.Dir(path), data)
+	if err != nil {
 		return err
 	}
-	return os.Rename(tmp, path)
+	if err := os.Rename(tmp, path); err != nil {
+		os.Remove(tmp)
+		return err
+	}
+	return nil
 }
 
 // lease is the on-disk claim a worker holds on a point's hash while
@@ -218,26 +245,18 @@ func parseLease(data []byte) (lease, error) {
 }
 
 // createLease publishes data at path only if no lease is there. The claim
-// is written whole to a temp file of its own in the same directory and then
-// hard-linked into place: the link fails with EEXIST while another claim is
-// held, and the lease path never exists without its complete contents, so
-// a reader can never mistake a claim being written for a torn one and steal
-// it. The temp name comes from os.CreateTemp, unique across processes and
-// across workers sharing one.
+// is written whole to a temp file of its own in the same directory (see
+// writeTemp) and then hard-linked into place: the link fails with EEXIST
+// while another claim is held, and the lease path never exists without its
+// complete contents, so a reader can never mistake a claim being written
+// for a torn one and steal it.
 func createLease(path string, data []byte) (bool, error) {
-	f, err := os.CreateTemp(filepath.Dir(path), ".claim-*")
+	tmp, err := writeTemp(filepath.Dir(path), data)
 	if err != nil {
 		return false, err
 	}
-	defer os.Remove(f.Name())
-	_, werr := f.Write(data)
-	if cerr := f.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr != nil {
-		return false, werr
-	}
-	if err := os.Link(f.Name(), path); err != nil {
+	defer os.Remove(tmp)
+	if err := os.Link(tmp, path); err != nil {
 		if os.IsExist(err) {
 			return false, nil
 		}

@@ -530,3 +530,62 @@ func TestFreshLeaseContentionExactlyOneClaim(t *testing.T) {
 		t.Errorf("leases dir holds %d files, want %d leases", len(entries), rounds)
 	}
 }
+
+// TestExpiredLeaseContentionNeverErrors races several in-process workers to
+// steal one expired lease, round after round. Several may win the benign
+// takeover race, but no worker may get an error: an error stops RunWorker.
+// Stealers sharing one temp file for the rewrite lose its rename with
+// "no such file or directory".
+func TestExpiredLeaseContentionNeverErrors(t *testing.T) {
+	dir := t.TempDir()
+	if err := ensureLayout(dir); err != nil {
+		t.Fatal(err)
+	}
+	const rounds, workers = 200, 8
+	failed := 0
+	for round := 0; round < rounds; round++ {
+		hash := campaign.Hash("expired-lease-contention", round)
+		if c, err := acquireLease(dir, hash, "k", "dead", -time.Minute, 0); err != nil || !c.ok {
+			t.Fatalf("round %d: seeding the expired lease: %+v err=%v", round, c, err)
+		}
+		var (
+			start  sync.WaitGroup
+			done   sync.WaitGroup
+			claims atomic.Int64
+			errs   atomic.Int64
+		)
+		start.Add(1)
+		for w := 0; w < workers; w++ {
+			done.Add(1)
+			go func(w int) {
+				defer done.Done()
+				start.Wait()
+				c, err := acquireLease(dir, hash, "k", fmt.Sprintf("w%d", w), time.Minute, 0)
+				if err != nil {
+					errs.Add(1)
+				}
+				if c.ok {
+					claims.Add(1)
+				}
+			}(w)
+		}
+		start.Done()
+		done.Wait()
+		if errs.Load() > 0 {
+			failed++
+		}
+		if claims.Load() == 0 {
+			t.Fatalf("round %d: no worker stole the expired lease", round)
+		}
+	}
+	if failed > 0 {
+		t.Errorf("%d of %d rounds returned an error to a stealing worker", failed, rounds)
+	}
+	entries, err := os.ReadDir(filepath.Join(dir, leasesDir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != rounds {
+		t.Errorf("leases dir holds %d files, want %d leases", len(entries), rounds)
+	}
+}

@@ -8,7 +8,7 @@ import (
 	"deepheal/internal/obs"
 )
 
-// BenchmarkSimulatorStep measures one pipeline step at growing die sizes,
+// BenchmarkSimulatorStep measures one simulation step at growing die sizes,
 // serial versus sharded wearout stepping. The horizon is set far beyond any
 // plausible b.N so the simulator never runs out of steps mid-benchmark.
 func BenchmarkSimulatorStep(b *testing.B) {

@@ -23,7 +23,6 @@ func TestCompactSnapshotWithinBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sim.Close()
 	// Age the chip first: the rng journals accumulate runs and the policy
 	// state fills in, so this is the snapshot's steady-state size.
 	if err := sim.RunSteps(context.Background(), 200); err != nil {

@@ -52,7 +52,6 @@ func TestRestoreBoundsSensorReplay(t *testing.T) {
 			if d := time.Since(start); d > time.Second {
 				t.Errorf("%s: refusal took %v", name, d)
 			}
-			sim.Close()
 		case <-time.After(5 * time.Second):
 			t.Fatalf("%s: restore still replaying after 5s", name)
 		}
@@ -62,7 +61,6 @@ func TestRestoreBoundsSensorReplay(t *testing.T) {
 	// step restores at every step, including the last (which skips its
 	// read), and one read more than that is refused.
 	sim := leanSim(t, m)
-	defer sim.Close()
 	ctx := context.Background()
 	for sim.Step() < m.cfg.Steps {
 		blob, err := sim.Snapshot()
@@ -73,14 +71,12 @@ func TestRestoreBoundsSensorReplay(t *testing.T) {
 		if err := twin.Restore(blob); err != nil {
 			t.Fatalf("step %d: %v", sim.Step(), err)
 		}
-		twin.Close()
 		if err := sim.RunSteps(ctx, 13); err != nil {
 			t.Fatal(err)
 		}
 	}
 	over := tamperSimState(t, maturedSnapshot(t, m), func(s *simState) { s.Step, s.Series[0].Step = 1, 0 })
 	early := leanSim(t, m)
-	defer early.Close()
 	if err := early.Restore(over); err == nil || !strings.Contains(err.Error(), "more than 2 draws") {
 		t.Errorf("sensor journal of 11 reads restored at step 1: err = %v", err)
 	}

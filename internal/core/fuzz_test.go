@@ -86,7 +86,6 @@ func tamperSimState(tb testing.TB, blob []byte, mut func(*simState)) []byte {
 func maturedSnapshot(tb testing.TB, m *Model) []byte {
 	tb.Helper()
 	sim := leanSim(tb, m)
-	defer sim.Close()
 	if err := sim.RunSteps(context.Background(), 10); err != nil {
 		tb.Fatal(err)
 	}
@@ -114,18 +113,15 @@ func TestRestoreRejectsMisSizedPerCoreState(t *testing.T) {
 		if err := sim.Restore(tamperSimState(t, blob, mut)); err == nil {
 			t.Errorf("%s: restored without error", name)
 		}
-		sim.Close()
 	}
 
 	// A snapshot from before the first step carries no previous modes.
 	fresh := leanSim(t, m)
 	blob0, err := fresh.Snapshot()
-	fresh.Close()
 	if err != nil {
 		t.Fatal(err)
 	}
 	sim := leanSim(t, m)
-	defer sim.Close()
 	if err := sim.Restore(blob0); err != nil {
 		t.Fatalf("step-0 snapshot: %v", err)
 	}
@@ -142,7 +138,6 @@ func TestRestoredPolicyStateOfWrongSize(t *testing.T) {
 	countdowns := (&DeepHealing{remaining: []int{0}}).SnapshotState()
 	blob := tamperSimState(t, maturedSnapshot(t, m), func(s *simState) { s.PolicyState = countdowns })
 	sim := leanSim(t, m)
-	defer sim.Close()
 	if err := sim.Restore(blob); err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +174,6 @@ func FuzzRestoreSimulator(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sim := leanSim(t, m)
-		defer sim.Close()
 		if err := sim.Restore(data); err != nil {
 			return
 		}

@@ -19,7 +19,6 @@ func TestDeepHealingPrefixDigest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sim.Close()
 	if err := sim.RunSteps(context.Background(), 20); err != nil {
 		t.Fatal(err)
 	}

@@ -9,12 +9,13 @@ import (
 	"deepheal/internal/thermal"
 )
 
-// Package-level instruments for the simulator itself: step latency and
-// checkpoint traffic. Nil (free no-ops) until EnableMetrics installs live
-// ones.
+// Package-level instruments for the simulator itself: step and stage
+// latency and checkpoint traffic. Nil (free no-ops) until EnableMetrics
+// installs live ones.
 var (
-	metStepSeconds *obs.Histogram
-	metStepsTotal  *obs.Counter
+	metStepSeconds  *obs.Histogram
+	metStepsTotal   *obs.Counter
+	metStageSeconds [6]*obs.Histogram // indexed like stageNames
 
 	metCkptSaves        *obs.Counter
 	metCkptRestores     *obs.Counter
@@ -25,11 +26,11 @@ var (
 )
 
 // EnableMetrics wires the whole simulation stack into r: the simulator's
-// own step/checkpoint series plus the bti kernel cache, the sparse solvers, the
-// thermal operators, the engine pipeline/pool and the sensors. One call
+// own step/stage/checkpoint series plus the bti kernel cache, the sparse
+// solvers, the thermal operators, the engine pool and the sensors. One call
 // from a CLI or test instruments everything a running simulation touches.
 // Pass nil to disable again. Call before simulators are built or stepped —
-// installation is not synchronised with running pipelines, and the
+// installation is not synchronised with running simulators, and the
 // instruments are process-global (one registry at a time).
 func EnableMetrics(r *obs.Registry) {
 	bti.EnableMetrics(r)
@@ -39,9 +40,14 @@ func EnableMetrics(r *obs.Registry) {
 	sensor.EnableMetrics(r)
 
 	metStepSeconds = r.Histogram("deepheal_sim_step_seconds",
-		"wall time of one full simulation step (all pipeline stages)", nil)
+		"wall time of one full simulation step (all six stages)", nil)
 	metStepsTotal = r.Counter("deepheal_sim_steps_total",
 		"simulation steps completed")
+	for k, name := range stageNames {
+		metStageSeconds[k] = r.Histogram(
+			`deepheal_engine_stage_seconds{stage="`+string(name)+`"}`,
+			"wall time of one simulation step stage", nil)
+	}
 
 	metCkptSaves = r.Counter("deepheal_checkpoint_saves_total",
 		"system snapshots taken")

@@ -132,14 +132,10 @@ func (m *Model) NewSimulatorSeeded(policy Policy, seed int64, opts ...Option) (*
 		seriesCap = 1 << 16 // let very long horizons grow on demand
 	}
 	s.series = make([]StepStats, 0, seriesCap)
-	s.pipe = engine.NewPipeline([]engine.Stage{
-		{Name: engine.StagePlan, Run: s.stagePlan},
-		{Name: engine.StageElectrical, Run: s.stageElectrical},
-		{Name: engine.StageThermal, Run: s.stageThermal},
-		{Name: engine.StageWearout, Run: s.stageWearout},
-		{Name: engine.StageSense, Run: s.stageSense},
-		{Name: engine.StageRecord, Run: s.stageRecord},
-	}, engine.Hooks{Progress: s.opts.Progress, StageTime: s.opts.StageTime})
+	s.stages = [6]func() error{
+		s.stagePlan, s.stageElectrical, s.stageThermal,
+		s.stageWearout, s.stageSense, s.stageRecord,
+	}
 
 	// The step-0 plan observes the fresh system.
 	if err := s.sense(); err != nil {

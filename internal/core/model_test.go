@@ -20,8 +20,7 @@ func TestModelSharedAcrossSimulators(t *testing.T) {
 		t.Fatal(err)
 	}
 	builds := bti.GridCacheStats().Builds
-	second, err := m.NewSimulatorSeeded(DefaultDeepHealing(), cfg.Seed+1)
-	if err != nil {
+	if _, err := m.NewSimulatorSeeded(DefaultDeepHealing(), cfg.Seed+1); err != nil {
 		t.Fatal(err)
 	}
 	if got := bti.GridCacheStats().Builds - builds; got != 0 {
@@ -42,10 +41,6 @@ func TestModelSharedAcrossSimulators(t *testing.T) {
 		t.Fatal(err)
 	}
 	compareReports(t, "model vs direct", repA, repB)
-
-	first.Close()
-	second.Close()
-	direct.Close()
 }
 
 func TestLeanSeriesKeepsAccumulators(t *testing.T) {
@@ -138,7 +133,6 @@ func TestCompactCheckpointLeanFleetShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim.Close()
 
 	re, err := NewSimulator(cfg, DefaultDeepHealing(), WithLeanSeries())
 	if err != nil {

@@ -29,10 +29,7 @@ type Options struct {
 	// accumulators (guardband, availability, recovery overhead) are
 	// unaffected.
 	LeanSeries bool
-	// Progress, if non-nil, is called after every completed step with the
-	// steps done and the configured horizon.
-	Progress func(step, total int)
-	// StageTime, if non-nil, observes the wall time of every pipeline stage.
+	// StageTime, if non-nil, observes the wall time of every step stage.
 	StageTime func(stage engine.StageName, d time.Duration)
 }
 
@@ -42,11 +39,6 @@ type Option func(*Options)
 // WithWorkers bounds the wearout-stage worker pool (0 = GOMAXPROCS).
 func WithWorkers(n int) Option { return func(o *Options) { o.Workers = n } }
 
-// WithProgress installs a per-step progress callback.
-func WithProgress(fn func(step, total int)) Option {
-	return func(o *Options) { o.Progress = fn }
-}
-
 // WithStageTime installs a per-stage wall-time callback.
 func WithStageTime(fn func(stage engine.StageName, d time.Duration)) Option {
 	return func(o *Options) { o.StageTime = fn }
@@ -55,18 +47,26 @@ func WithStageTime(fn func(stage engine.StageName, d time.Duration)) Option {
 // WithLeanSeries keeps only the latest StepStats instead of the full series.
 func WithLeanSeries() Option { return func(o *Options) { o.LeanSeries = true } }
 
-// Simulator runs one policy over the configured system as a staged engine
-// pipeline: plan → electrical → thermal → wearout → sense → record. The
-// wearout stage shards the independent per-core BTI devices and per-segment
-// EM models across a bounded worker pool with bit-identical results to
-// serial stepping; Snapshot/Restore checkpoint the whole system between
-// steps.
+// stageNames is the canonical stage order of one step; Simulator.stages[k]
+// runs stageNames[k].
+var stageNames = [6]engine.StageName{
+	engine.StagePlan, engine.StageElectrical, engine.StageThermal,
+	engine.StageWearout, engine.StageSense, engine.StageRecord,
+}
+
+// Simulator runs one policy over the configured system, one step at a time
+// through six fixed stages: plan → electrical → thermal → wearout → sense →
+// record. The wearout stage shards the independent per-core BTI devices and
+// per-segment EM models across a bounded worker pool with bit-identical
+// results to serial stepping; Snapshot/Restore checkpoint the whole system
+// between steps.
 type Simulator struct {
-	cfg    Config
-	policy Policy
-	opts   Options
-	pool   *engine.Pool
-	pipe   *engine.Pipeline
+	cfg       Config
+	policy    Policy
+	opts      Options
+	pool      *engine.Pool
+	stages    [6]func() error  // indexed like stageNames
+	stageTime [6]time.Duration // accumulated wall time per stage
 
 	cores     []*bti.Device
 	sensors   []*sensor.ROSensor
@@ -113,16 +113,10 @@ func NewSimulator(cfg Config, policy Policy, opts ...Option) (*Simulator, error)
 	return m.NewSimulator(policy, opts...)
 }
 
-// Close releases the simulator's references on process-shared caches (the
-// refcounted BTI grid cache), letting an idle process corner's
-// discretisation be recycled once every chip using it is gone. The
-// simulator must not be stepped afterwards. Single-run callers may skip
-// Close; fleet managers call it when retiring or evicting a chip.
-func (s *Simulator) Close() {
-	for _, dev := range s.cores {
-		dev.Release()
-	}
-}
+// Close does nothing: a simulator holds no resource that outlives it (the
+// BTI grids it shares live for the process). It is kept so that existing
+// callers still build.
+func (s *Simulator) Close() {}
 
 // StepStats is the system state recorded after each step.
 type StepStats struct {
@@ -161,9 +155,13 @@ type Report struct {
 // of completed steps).
 func (s *Simulator) Step() int { return s.step }
 
-// StageTimes returns the accumulated wall time per pipeline stage.
+// StageTimes returns the accumulated wall time per step stage.
 func (s *Simulator) StageTimes() map[engine.StageName]time.Duration {
-	return s.pipe.StageTimes()
+	out := make(map[engine.StageName]time.Duration, len(stageNames))
+	for k, name := range stageNames {
+		out[name] = s.stageTime[k]
+	}
+	return out
 }
 
 // Run executes the remaining horizon and returns the report.
@@ -182,16 +180,34 @@ func (s *Simulator) RunContext(ctx context.Context) (*Report, error) {
 }
 
 // RunSteps advances at most n steps (fewer if the horizon is reached),
-// checking ctx between steps. Use it to interleave checkpoints with
+// checking ctx before each step. Use it to interleave checkpoints with
 // stepping; RunContext finalises the report once the horizon is reached.
+//
+// Each step runs the six stages in order and times each one. A cancelled
+// context runs no stage, so an interrupted run is always left on a step
+// boundary — exactly the state a snapshot can checkpoint. A failing stage
+// stops the step with an error naming the stage, and Step() stays where it
+// was.
 func (s *Simulator) RunSteps(ctx context.Context, n int) error {
 	for i := 0; i < n && s.step < s.cfg.Steps; i++ {
+		if err := ctx.Err(); err != nil {
+			return fmt.Errorf("core: step %d: %w", s.step, err)
+		}
 		var start time.Time
 		if metStepSeconds != nil {
 			start = time.Now()
 		}
-		if err := s.pipe.Step(ctx, s.step, s.cfg.Steps); err != nil {
-			return err
+		for k, run := range s.stages {
+			t0 := time.Now()
+			if err := run(); err != nil {
+				return fmt.Errorf("core: stage %s: %w", stageNames[k], err)
+			}
+			d := time.Since(t0)
+			s.stageTime[k] += d
+			metStageSeconds[k].Observe(d.Seconds())
+			if s.opts.StageTime != nil {
+				s.opts.StageTime(stageNames[k], d)
+			}
 		}
 		s.step++
 		if metStepSeconds != nil {

@@ -44,7 +44,6 @@ func FuzzDecodeSystemSnapshot(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	defer sim.Close()
 	if err := sim.RunSteps(context.Background(), 10); err != nil {
 		f.Fatal(err)
 	}

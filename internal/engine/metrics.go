@@ -2,39 +2,19 @@ package engine
 
 import "deepheal/internal/obs"
 
-// Package-level instruments for the staged pipeline and the worker pool.
-// Nil maps / nil counters (free no-ops) until EnableMetrics installs live
-// ones; the pipeline and pool hot paths consult them unconditionally.
+// Package-level instruments for the worker pool. Nil counters (free no-ops)
+// until EnableMetrics installs live ones; the pool hot paths consult them
+// unconditionally.
 var (
-	// metStageSeconds holds one wall-time histogram per canonical stage.
-	// Custom stage names simply miss the map and go unobserved.
-	metStageSeconds map[StageName]*obs.Histogram
-
 	metPoolSerialRuns   *obs.Counter
 	metPoolParallelRuns *obs.Counter
 	metPoolItems        *obs.Counter
 )
 
-// canonicalStages is the stage set the per-stage histograms cover.
-var canonicalStages = []StageName{
-	StagePlan, StageElectrical, StageThermal, StageWearout, StageSense, StageRecord,
-}
-
 // EnableMetrics registers the package's instruments in r. Pass nil to
-// disable again. Call before pipelines start stepping; installation is not
-// synchronised with concurrent steps.
+// disable again. Call before pools start dispatching; installation is not
+// synchronised with concurrent dispatches.
 func EnableMetrics(r *obs.Registry) {
-	if r == nil {
-		metStageSeconds = nil
-		metPoolSerialRuns, metPoolParallelRuns, metPoolItems = nil, nil, nil
-		return
-	}
-	metStageSeconds = make(map[StageName]*obs.Histogram, len(canonicalStages))
-	for _, name := range canonicalStages {
-		metStageSeconds[name] = r.Histogram(
-			`deepheal_engine_stage_seconds{stage="`+string(name)+`"}`,
-			"wall time of one pipeline stage execution", nil)
-	}
 	metPoolSerialRuns = r.Counter("deepheal_engine_pool_serial_runs_total",
 		"pool dispatches that ran on the calling goroutine")
 	metPoolParallelRuns = r.Counter("deepheal_engine_pool_parallel_runs_total",

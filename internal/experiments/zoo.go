@@ -33,7 +33,6 @@ func scenarioPoint(key string, d *scenario.Description, steps, healEvery int, se
 		if err != nil {
 			return nil, err
 		}
-		defer in.Close()
 		return in.Run(ctx, steps, healEvery)
 	})
 }

@@ -37,12 +37,6 @@ type Options struct {
 	// recently touched excess is suspended to compact snapshots and
 	// rehydrated transparently on next use. 0 means unlimited.
 	MaxResident int
-	// ScheduleFrac is the fraction of a corner's MaxShiftV above which a
-	// core is proposed for recovery by Schedule (default 0.5).
-	ScheduleFrac float64
-	// MaxConcurrentRecover caps how many cores one Schedule proposes
-	// (default: a quarter of the chip's cores, at least one).
-	MaxConcurrentRecover int
 }
 
 // chip is one managed instance: its spec, its shared model, and either a
@@ -108,9 +102,6 @@ func (m *Manager) Ready() (bool, string) {
 
 // NewManager builds an empty fleet.
 func NewManager(opts Options) *Manager {
-	if opts.ScheduleFrac <= 0 {
-		opts.ScheduleFrac = 0.5
-	}
 	return &Manager{
 		opts:   opts,
 		pool:   engine.NewPool(opts.Workers),
@@ -177,7 +168,6 @@ func (m *Manager) Register(spec ChipSpec) (ChipStatus, error) {
 	m.mu.Lock()
 	if _, ok := m.chips[spec.ID]; ok {
 		m.mu.Unlock()
-		sim.Close()
 		return ChipStatus{}, fmt.Errorf("%w: %q", ErrDuplicate, spec.ID)
 	}
 	m.chips[spec.ID] = c
@@ -194,8 +184,7 @@ func (m *Manager) Register(spec ChipSpec) (ChipStatus, error) {
 	return c.status, nil
 }
 
-// Unregister removes a chip and frees its simulator (including its BTI grid
-// references).
+// Unregister removes a chip and frees its simulator.
 func (m *Manager) Unregister(id string) error {
 	m.mu.Lock()
 	c, ok := m.chips[id]
@@ -217,7 +206,6 @@ func (m *Manager) Unregister(id string) error {
 	defer c.mu.Unlock()
 	c.removed = true
 	if c.sim != nil {
-		c.sim.Close()
 		c.sim = nil
 		metResident.Add(-1)
 	}
@@ -350,7 +338,6 @@ func (m *Manager) rehydrateLocked(c *chip) error {
 		return err
 	}
 	if err := sim.Restore(c.snap); err != nil {
-		sim.Close()
 		return fmt.Errorf("fleet: rehydrate chip %q: %w", c.spec.ID, err)
 	}
 	metSnapBytes.Add(-float64(len(c.snap)))
@@ -361,7 +348,7 @@ func (m *Manager) rehydrateLocked(c *chip) error {
 }
 
 // suspendLocked checkpoints a resident chip to its compact snapshot and
-// releases the simulator (and its BTI grid references). Caller holds c.mu.
+// drops the simulator. Caller holds c.mu.
 func (m *Manager) suspendLocked(c *chip) error {
 	if c.sim == nil {
 		return nil
@@ -370,7 +357,6 @@ func (m *Manager) suspendLocked(c *chip) error {
 	if err != nil {
 		return fmt.Errorf("fleet: suspend chip %q: %w", c.spec.ID, err)
 	}
-	c.sim.Close()
 	c.sim, c.snap = nil, blob
 	c.status.Suspended = true
 	metSuspends.Inc()
@@ -460,12 +446,9 @@ func (m *Manager) UpdateWorkload(id string, w WorkloadSpec) (ChipStatus, error) 
 		return ChipStatus{}, err
 	}
 	if err := sim.Restore(blob); err != nil {
-		sim.Close()
 		return ChipStatus{}, fmt.Errorf("fleet: update workload of %q: %w", id, err)
 	}
-	if c.sim != nil {
-		c.sim.Close()
-	} else {
+	if c.sim == nil {
 		metSnapBytes.Add(-float64(len(c.snap)))
 		metRehydrates.Inc()
 		metResident.Add(1)
@@ -487,11 +470,7 @@ func (m *Manager) Close() {
 	for _, c := range chips {
 		c.mu.Lock()
 		c.removed = true
-		if c.sim != nil {
-			c.sim.Close()
-			c.sim = nil
-		}
-		c.snap = nil
+		c.sim, c.snap = nil, nil
 		c.mu.Unlock()
 	}
 }
@@ -630,13 +609,11 @@ func (m *Manager) Restore(data []byte) error {
 			return err
 		}
 		if err := sim.Restore(state); err != nil {
-			sim.Close()
 			return fmt.Errorf("fleet: restore chip %q: %w", id, err)
 		}
 		c := &chip{spec: spec, model: model, sim: sim, lastTouch: m.touch.Add(1)}
 		c.status = m.statusOf(c)
 		if rebuilt, want := c.status, saved; !statusEqual(rebuilt, want) {
-			sim.Close()
 			return fmt.Errorf("fleet: restored chip %q reports %+v, checkpoint recorded %+v", id, rebuilt, want)
 		}
 		m.mu.Lock()

@@ -369,7 +369,7 @@ func TestCheckpointOfSuspendedChips(t *testing.T) {
 }
 
 func TestSchedule(t *testing.T) {
-	m := NewManager(Options{Workers: 1, ScheduleFrac: 0.05, MaxConcurrentRecover: 3})
+	m := NewManager(Options{Workers: 1})
 	defer m.Close()
 	spec := testSpec("sched")
 	spec.Policy = "no-recovery" // let shift accumulate so the schedule fills
@@ -383,11 +383,11 @@ func TestSchedule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sched.ID != "sched" || sched.Step != 40 || sched.MaxConcurrent != 3 {
+	if sched.ID != "sched" || sched.Step != 40 || sched.MaxConcurrent != 4 {
 		t.Errorf("schedule header %+v", sched)
 	}
-	if len(sched.Cores) == 0 || len(sched.Cores) > 3 {
-		t.Fatalf("schedule proposes %d cores, want 1..3", len(sched.Cores))
+	if len(sched.Cores) == 0 || len(sched.Cores) > 4 {
+		t.Fatalf("schedule proposes %d cores, want 1..4", len(sched.Cores))
 	}
 	for i, slot := range sched.Cores {
 		if slot.SensedShiftV < sched.ThresholdV {

@@ -12,6 +12,13 @@ import (
 // identity tests compare two runs of one build and cannot see a change
 // that moves every byte the same way.
 func TestFleetCheckpointDigest(t *testing.T) {
+	golden.Check(t, "testdata/checkpoint.sha256", "fleet-3chips-resident1", goldenCheckpoint(t))
+}
+
+// goldenCheckpoint builds the three-chip fleet the digest pins and returns
+// its checkpoint.
+func goldenCheckpoint(tb testing.TB) []byte {
+	tb.Helper()
 	m := NewManager(Options{Workers: 2, MaxResident: 1})
 	defer m.Close()
 	for _, spec := range []ChipSpec{
@@ -20,18 +27,18 @@ func TestFleetCheckpointDigest(t *testing.T) {
 		{ID: "c", Steps: 60, Seed: 3, Corner: "fast"},
 	} {
 		if _, err := m.Register(spec); err != nil {
-			t.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
 	if _, err := m.StepAll(ctx(), 5); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	if _, err := m.Step(ctx(), "b", 1); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	blob, err := m.Checkpoint()
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	golden.Check(t, "testdata/checkpoint.sha256", "fleet-3chips-resident1", blob)
+	return blob
 }

